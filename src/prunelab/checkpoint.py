@@ -8,7 +8,9 @@ Layout:
   all weights concatenated as little-endian float64, row-major, in
   declaration order: conv layer 0..L-1, then classifier weight, then bias.
 
-Velocity buffers are not persisted; a loaded model starts with fresh ones.
+A checkpoint stores the whole ModelState; optimizer state is not part of
+it. load_checkpoint checks the header's masks against the architecture: one
+list per conv layer holding a 0 or 1 for each of its filters.
 """
 
 from __future__ import annotations
@@ -49,6 +51,18 @@ def save_checkpoint(model: ModelState, path: str | Path, seed: int = 0, epoch: i
             fh.write(np.ascontiguousarray(blob, dtype="<f8").tobytes())
 
 
+def _header_masks(raw: object, arch: Architecture) -> list[np.ndarray]:
+    if not isinstance(raw, list) or len(raw) != len(arch.conv_layers):
+        raise ValueError(f"masks must be a list of {len(arch.conv_layers)}, one per conv layer")
+    masks = []
+    for i, (m, spec) in enumerate(zip(raw, arch.conv_layers)):
+        m = np.asarray(m)
+        if m.shape != (spec.out_channels,) or not np.isin(m, (0, 1)).all():
+            raise ValueError(f"mask {i} must be {spec.out_channels} values of 0 or 1")
+        masks.append(m.astype(bool))
+    return masks
+
+
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     """Returns (model, header dict). Raises CheckpointError on malformed files."""
     raw = Path(path).read_bytes()
@@ -63,6 +77,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     try:
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
         arch = Architecture.from_dict(header["arch"])
+        masks = _header_masks(header["masks"], arch)
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: invalid header: {exc}") from exc
 
@@ -84,7 +99,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
         cnt = int(np.prod(s))
         arrays.append(flat[off : off + cnt].reshape(s).copy())
         off += cnt
-    masks = [np.asarray(m, dtype=bool) for m in header["masks"]]
     model = ModelState(
         arch=arch,
         conv_weights=arrays[: len(arch.conv_layers)],

@@ -1,4 +1,5 @@
-"""Experiment orchestration: config, run driver, report emission, feature maps.
+"""Experiment orchestration: config, the prune-while-training loop (which
+owns the SGD momentum buffers), report emission, feature maps.
 
 Reports come in two flavors written side by side:
   report.csv   one row per epoch and one per prune step (LF newlines,
@@ -6,26 +7,23 @@ Reports come in two flavors written side by side:
   report.json  config echo + all epoch/prune-step records + FLOPs report
 
 Determinism contract: identical (config, seed) produce byte-identical
-report.csv / report.json / final.ckpt. Wall-clock timings live only in
-manifest.json and in the two measured_ms_* fields of the FLOPs report,
-which are the documented fields to mask when comparing runs.
+report.csv / report.json / final.ckpt. The only wall-clock timing is
+wall_time_seconds in manifest.json, the field to mask when comparing runs.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import data as datamod, flops, meta, model as mdl
+from . import __version__, data as datamod, flops, meta, model as mdl
 from .checkpoint import save_checkpoint
 from .criteria import DEFAULT_CRITERIA, Criterion, parse_criterion
-from .model import Architecture, ConvSpec, ModelState
-
-PACKAGE_VERSION = "0.1.0"
+from .model import Architecture, ModelState
 
 CSV_COLUMNS = [
     "kind", "epoch", "step", "train_loss", "train_acc", "eval_top1", "eval_top5",
@@ -110,12 +108,26 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         d = dict(d)
         if "criteria" in d:
             d["criteria"] = tuple(d["criteria"])
         if "decay_at" in d:
             d["decay_at"] = tuple(d["decay_at"])
         return ExperimentConfig(**d)
+
+
+@dataclass
+class EpochReport:
+    epoch: int
+    train_loss: float
+    train_acc: float
+    eval_top1: float
+    eval_top5: float
+    kappa: int
+    masked_macs: int
 
 
 def load_dataset(config: ExperimentConfig) -> datamod.Dataset:
@@ -135,37 +147,66 @@ def load_dataset(config: ExperimentConfig) -> datamod.Dataset:
 def run_experiment(
     config: ExperimentConfig, out_dir: str | Path | None = None
 ) -> dict:
-    """Run the full train/prune loop; optionally emit reports and checkpoint.
+    """Alternate training and soft pruning, then compact; optionally emit
+    reports and checkpoint.
 
+    Loop: train `interval` epochs -> select criterion -> apply masks.
+    A trailing partial interval still gets a final selection, so the run
+    always ends selection -> apply_mask -> compact.
     Returns {"model", "records", "reports", "flops", "files"}.
     """
     config.validate()
     t0 = time.perf_counter()
     dataset = load_dataset(config)
-    arch = config.architecture()
-    model = mdl.build_model(arch, seed=config.seed)
+    model = mdl.build_model(config.architecture(), seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
 
     # one fixed evaluation batch per run keeps selection deterministic and cheap
     n_eval = min(config.eval_batch_size, len(dataset.eval_x))
     eval_x, eval_y = dataset.eval_x[:n_eval], dataset.eval_y[:n_eval]
 
-    plan = meta.TrainingPlan(
-        epochs=config.epochs,
-        interval=config.interval,
-        prune_rate=config.prune_rate,
-        candidates=config.criterion_objects(),
-        attribute=config.meta_attribute,
-        lr=config.lr,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-        batch_size=config.batch_size,
-        lr_schedule=config.lr_schedule(),
-        reference_initial=config.reference_initial,
-    )
-    final, records, reports = meta.run_pruning_training(
-        model, dataset.train_x, dataset.train_y, eval_x, eval_y, plan, rng
-    )
+    candidates = config.criterion_objects()
+    lr_at = config.lr_schedule()
+    reference = model.copy() if config.reference_initial else None
+    # momentum buffers, one per parameter in sgd_step order
+    velocity = [np.zeros_like(p) for p in model.conv_weights + [model.fc_weight, model.fc_bias]]
+    records: list[meta.PruneStepRecord] = []
+    reports: list[EpochReport] = []
+
+    def prune_step(epoch: int) -> None:
+        _, masks, record = meta.select_criterion(
+            model, eval_x, eval_y, candidates, config.prune_rate,
+            config.meta_attribute, rng, step=len(records) + 1, epoch=epoch,
+            reference_model=reference,
+        )
+        mdl.apply_mask(model, masks)
+        for v, m in zip(velocity, masks):  # a pruned filter restarts from rest
+            v[~m] = 0.0
+        records.append(record)
+
+    for epoch in range(1, config.epochs + 1):
+        loss, acc = mdl.train_epoch(
+            model, velocity, dataset.train_x, dataset.train_y,
+            lr=lr_at(epoch), momentum=config.momentum,
+            weight_decay=config.weight_decay, batch_size=config.batch_size, rng=rng,
+        )
+        if epoch % config.interval == 0:
+            prune_step(epoch)
+        stats = mdl.evaluate(model, eval_x, eval_y)
+        reports.append(
+            EpochReport(
+                epoch=epoch,
+                train_loss=float(loss),
+                train_acc=float(acc),
+                eval_top1=float(stats["top1"]),
+                eval_top5=float(stats["top5"]),
+                kappa=model.nonzero_filter_count(),
+                masked_macs=flops.model_flops(model, model.masks).pruned_total,
+            )
+        )
+    if config.epochs % config.interval != 0:
+        prune_step(config.epochs)
+    final = mdl.compact(model, model.masks)
     flops_report = flops.model_flops(model, model.masks)
 
     files = {}
@@ -178,7 +219,7 @@ def run_experiment(
         files["checkpoint"] = str(ckpt)
         manifest = {
             "config": config.to_dict(),
-            "version": PACKAGE_VERSION,
+            "version": __version__,
             "wall_time_seconds": time.perf_counter() - t0,  # timing: masked in determinism checks
         }
         (out / "manifest.json").write_text(
@@ -201,7 +242,7 @@ def _csv_row(values: dict) -> str:
 def emit_report(
     config: ExperimentConfig,
     records: list[meta.PruneStepRecord],
-    reports: list[meta.EpochReport],
+    reports: list[EpochReport],
     flops_report: flops.FlopsReport,
     out_dir: Path,
 ) -> dict:
@@ -237,7 +278,7 @@ def emit_report(
 
     bundle = {
         "config": config.to_dict(),
-        "epochs": [r.to_dict() for r in reports],
+        "epochs": [asdict(r) for r in reports],
         "prune_steps": [r.to_dict() for r in records],
         "flops": flops_report.to_dict(),
     }

@@ -1,23 +1,19 @@
-"""FLOPs accounting (counted as multiply-accumulates) and forward timing.
+"""FLOPs accounting, counted as multiply-accumulates (MACs).
 
 Only convolution work is counted; pooling and the classifier are negligible
 at this scale. Theoretical reduction follows from surviving channel counts:
 layer i runs with kept(i-1) input channels and kept(i) output channels.
-Measured wall-clock times are reported, never asserted: background load and
-BLAS behavior make realistic speedup hardware-dependent.
+Wall-clock timing is left to the benchmark, so the report stays
+deterministic.
 """
 
 from __future__ import annotations
 
-import logging
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelState, forward
-
-log = logging.getLogger(__name__)
+from .model import ModelState
 
 
 @dataclass
@@ -32,8 +28,6 @@ class FlopsReport:
     layers: list[LayerFlops]
     baseline_total: int
     pruned_total: int
-    measured_ms_baseline: float | None = None
-    measured_ms_pruned: float | None = None
 
     @property
     def theoretical_reduction_ratio(self) -> float:
@@ -54,8 +48,6 @@ class FlopsReport:
             "baseline_macs": self.baseline_total,
             "pruned_macs": self.pruned_total,
             "theoretical_reduction": self.theoretical_reduction_ratio,
-            "measured_ms_baseline": self.measured_ms_baseline,
-            "measured_ms_pruned": self.measured_ms_pruned,
         }
 
 
@@ -101,19 +93,3 @@ def model_flops(model: ModelState, masks: list[np.ndarray] | None = None) -> Flo
         pruned_total=sum(l.pruned_macs for l in layers),
     )
 
-
-def timing_harness(
-    model: ModelState, batch: np.ndarray, warmup: int = 2, reps: int = 5
-) -> float:
-    """Median forward wall time in milliseconds over reps runs after warmup.
-    Single-threaded; background machine load corrupts the measurement."""
-    if reps < 3:
-        raise ValueError(f"reps must be >= 3, got {reps}")
-    for _ in range(warmup):
-        forward(model, batch)
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        forward(model, batch)
-        times.append((time.perf_counter() - t0) * 1000.0)
-    return float(np.median(times))

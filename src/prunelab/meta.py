@@ -11,17 +11,14 @@ Exactly one criterion is applied per step (one-hot action vector).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import flops, model as mdl
+from . import model as mdl
 from .criteria import Criterion, criterion_scores, select_filters
 from .model import ModelState
-
-log = logging.getLogger(__name__)
 
 META_ATTRIBUTES = ("top5_loss", "top1_loss", "mean_weight", "sparsity", "random")
 
@@ -54,28 +51,6 @@ class PruneStepRecord:
             "selected": self.selected,
             "action": self.action,
             "masks": self.masks,
-        }
-
-
-@dataclass
-class EpochReport:
-    epoch: int
-    train_loss: float
-    train_acc: float
-    eval_top1: float
-    eval_top5: float
-    kappa: int
-    masked_macs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "train_acc": self.train_acc,
-            "eval_top1": self.eval_top1,
-            "eval_top5": self.eval_top5,
-            "kappa": self.kappa,
-            "masked_macs": self.masked_macs,
         }
 
 
@@ -175,88 +150,3 @@ def select_criterion(
     )
     return candidates[pick], all_masks[pick], record
 
-
-@dataclass
-class TrainingPlan:
-    epochs: int
-    interval: int
-    prune_rate: float
-    candidates: Sequence[Criterion]
-    attribute: str
-    lr: float
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    batch_size: int = 32
-    lr_schedule: Callable[[int], float] | None = None  # epoch (1-based) -> lr
-    reference_initial: bool = False  # gap vs epoch-0 snapshot instead of current
-
-    def __post_init__(self):
-        if self.interval < 1 or self.epochs < self.interval:
-            raise ValueError(
-                f"need epochs >= interval >= 1, got epochs={self.epochs} interval={self.interval}"
-            )
-        if not 0 <= self.prune_rate < 1:
-            raise ValueError(f"prune_rate must be in [0, 1), got {self.prune_rate}")
-
-    def lr_at(self, epoch: int) -> float:
-        return self.lr_schedule(epoch) if self.lr_schedule else self.lr
-
-
-def run_pruning_training(
-    model: ModelState,
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    eval_x: np.ndarray,
-    eval_y: np.ndarray,
-    plan: TrainingPlan,
-    rng: np.random.Generator,
-) -> tuple[ModelState, list[PruneStepRecord], list[EpochReport]]:
-    """Alternate training and soft pruning, then compact.
-
-    Loop: train `interval` epochs -> select criterion -> apply masks.
-    A trailing partial interval still gets a final selection, so the run
-    always ends selection -> apply_mask -> compact.
-    Returns (compacted model, prune step records, epoch reports).
-    """
-    reference = model.copy() if plan.reference_initial else None
-    records: list[PruneStepRecord] = []
-    reports: list[EpochReport] = []
-    step = 0
-    last_masks = model.masks
-
-    def prune_step(epoch: int) -> None:
-        nonlocal step, last_masks
-        step += 1
-        _, masks, record = select_criterion(
-            model, eval_x, eval_y, plan.candidates, plan.prune_rate,
-            plan.attribute, rng, step=step, epoch=epoch, reference_model=reference,
-        )
-        mdl.apply_mask(model, masks)
-        last_masks = masks
-        records.append(record)
-
-    for epoch in range(1, plan.epochs + 1):
-        loss, acc = mdl.train_epoch(
-            model, train_x, train_y,
-            lr=plan.lr_at(epoch), momentum=plan.momentum,
-            weight_decay=plan.weight_decay, batch_size=plan.batch_size, rng=rng,
-        )
-        if epoch % plan.interval == 0:
-            prune_step(epoch)
-        stats = mdl.evaluate(model, eval_x, eval_y)
-        report = flops.model_flops(model, model.masks)
-        reports.append(
-            EpochReport(
-                epoch=epoch,
-                train_loss=float(loss),
-                train_acc=float(acc),
-                eval_top1=float(stats["top1"]),
-                eval_top5=float(stats["top5"]),
-                kappa=model.nonzero_filter_count(),
-                masked_macs=report.pruned_total,
-            )
-        )
-    if plan.epochs % plan.interval != 0:
-        prune_step(plan.epochs)
-    final = mdl.compact(model, last_masks)
-    return final, records, reports

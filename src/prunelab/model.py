@@ -2,8 +2,10 @@
 
 The architecture is conv -> relu repeated, then global average pooling and a
 linear classifier. Conv layers carry no bias; the classifier is never pruned.
-Soft pruning zeroes filter weights and their velocity buffers but keeps the
-full shapes, so later gradient steps can revive a pruned filter. Hard pruning
+A ModelState holds exactly what a checkpoint stores: architecture, weights
+and keep-masks. SGD momentum buffers belong to the training loop and are
+passed to train_epoch. Soft pruning zeroes filter weights but keeps the full
+shapes, so later gradient steps can revive a pruned filter. Hard pruning
 (compact) physically removes pruned output channels and the matching input
 channels of the next layer.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,17 +104,6 @@ class ModelState:
     masks: list[np.ndarray]                 # per layer: bool keep-vector, len = out
     fc_weight: np.ndarray                   # (num_classes, last_out)
     fc_bias: np.ndarray                     # (num_classes,)
-    conv_velocity: list[np.ndarray] = field(default_factory=list)
-    fc_weight_velocity: np.ndarray | None = None
-    fc_bias_velocity: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not self.conv_velocity:
-            self.conv_velocity = [np.zeros_like(w) for w in self.conv_weights]
-        if self.fc_weight_velocity is None:
-            self.fc_weight_velocity = np.zeros_like(self.fc_weight)
-        if self.fc_bias_velocity is None:
-            self.fc_bias_velocity = np.zeros_like(self.fc_bias)
 
     def copy(self) -> "ModelState":
         return copy.deepcopy(self)
@@ -188,15 +179,8 @@ def conv_feature_maps(model: ModelState, image: np.ndarray, layer_index: int) ->
         raise ValueError(
             f"layer_index {layer_index} out of range [0, {len(model.arch.conv_layers)})"
         )
-    x = np.asarray(image, dtype=np.float64)
-    if x.shape != model.arch.input_shape:
-        raise ValueError(f"image shape {x.shape} != architecture input {model.arch.input_shape}")
-    x = x[None]
-    for i, (spec, w) in enumerate(zip(model.arch.conv_layers, model.conv_weights)):
-        x = ops.relu_forward(ops.conv2d_forward(x, w, spec.stride, spec.pad))
-        if i == layer_index:
-            return x[0]
-    raise AssertionError("unreachable")
+    caches, _ = _forward_activations(model, np.asarray(image)[None])
+    return caches[layer_index][2][0]
 
 
 def _check_masks(model: ModelState, masks: list[np.ndarray]) -> list[np.ndarray]:
@@ -216,18 +200,17 @@ def _check_masks(model: ModelState, masks: list[np.ndarray]) -> list[np.ndarray]
 
 
 def apply_mask(model: ModelState, masks: list[np.ndarray]) -> ModelState:
-    """Soft prune in place: zero pruned filters' weights and velocities."""
+    """Soft prune in place: zero pruned filters' weights."""
     masks = _check_masks(model, masks)
-    for w, v, m in zip(model.conv_weights, model.conv_velocity, masks):
+    for w, m in zip(model.conv_weights, masks):
         w[~m] = 0.0
-        v[~m] = 0.0
     model.masks = [m.copy() for m in masks]
     return model
 
 
 def compact(model: ModelState, masks: list[np.ndarray]) -> ModelState:
     """Hard prune: physically drop pruned output channels and the matching
-    input channels downstream. Returns a new model; velocities reset."""
+    input channels downstream. Returns a new model."""
     masks = _check_masks(model, masks)
     for i, m in enumerate(masks):
         if not m.any():
@@ -260,6 +243,8 @@ def compact(model: ModelState, masks: list[np.ndarray]) -> ModelState:
 def evaluate(model: ModelState, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> dict:
     """Loss plus top-1/top-5 accuracy over a labelled set."""
     n = x.shape[0]
+    if n == 0:
+        raise ValueError("empty evaluation set")
     losses = []
     top1 = 0
     top5 = 0
@@ -309,6 +294,7 @@ def loss_and_gradients(
 
 def train_epoch(
     model: ModelState,
+    velocity: list[np.ndarray],
     x: np.ndarray,
     y: np.ndarray,
     lr: float,
@@ -317,7 +303,9 @@ def train_epoch(
     batch_size: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """One seeded-shuffle pass of minibatch SGD. Mutates the model in place.
+    """One seeded-shuffle pass of minibatch SGD. Mutates the model and the
+    momentum buffers in place; velocity holds one array per parameter, in
+    the order conv layers, classifier weight, classifier bias.
 
     lr == 0 is allowed and leaves weights untouched (pure evaluation pass).
     Returns (mean loss, accuracy) over the epoch.
@@ -338,7 +326,7 @@ def train_epoch(
             ops.sgd_step(
                 model.conv_weights + [model.fc_weight, model.fc_bias],
                 grads["conv"] + [grads["fc_weight"], grads["fc_bias"]],
-                model.conv_velocity + [model.fc_weight_velocity, model.fc_bias_velocity],
+                velocity,
                 lr=lr,
                 momentum=momentum,
                 weight_decay=weight_decay,

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -9,6 +10,21 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from prunelab.model import Architecture, ConvSpec, build_model  # noqa: E402
+
+
+def rewrite_header(path, edit):
+    """Rewrite a checkpoint's JSON header through edit(header), keeping the payload."""
+    raw = Path(path).read_bytes()
+    hlen = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+    header = json.loads(raw[12 : 12 + hlen])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    Path(path).write_bytes(raw[:8] + np.uint32(len(new)).tobytes() + new + raw[12 + hlen :])
+
+
+def momentum_buffers(model):
+    """Fresh SGD momentum buffers for train_epoch, in sgd_step order."""
+    return [np.zeros_like(p) for p in model.conv_weights + [model.fc_weight, model.fc_bias]]
 
 
 def random_architecture(rng: np.random.Generator, max_layers=3, max_channels=8,

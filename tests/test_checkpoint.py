@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import rewrite_header
 from prunelab.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -84,3 +85,35 @@ class TestFormat:
         hlen = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
         first = np.frombuffer(raw[12 + hlen : 12 + hlen + 8], dtype="<f8")[0]
         assert first == model.conv_weights[0].ravel()[0]
+
+
+class TestHeaderMasks:
+    @pytest.fixture
+    def saved(self, model, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(model, p)
+        return p
+
+    def test_untouched_header_loads(self, saved):
+        rewrite_header(saved, lambda h: None)
+        load_checkpoint(saved)
+
+    def test_missing_masks_rejected(self, saved):
+        rewrite_header(saved, lambda h: h.pop("masks"))
+        with pytest.raises(CheckpointError, match="masks"):
+            load_checkpoint(saved)
+
+    def test_short_mask_list_rejected(self, saved):
+        rewrite_header(saved, lambda h: h["masks"].pop())
+        with pytest.raises(CheckpointError, match="masks"):
+            load_checkpoint(saved)
+
+    def test_wrong_length_mask_rejected(self, saved):
+        rewrite_header(saved, lambda h: h["masks"][1].append(1))
+        with pytest.raises(CheckpointError, match="mask 1"):
+            load_checkpoint(saved)
+
+    def test_non_binary_mask_rejected(self, saved):
+        rewrite_header(saved, lambda h: h["masks"][0].__setitem__(0, 2))
+        with pytest.raises(CheckpointError, match="mask 0"):
+            load_checkpoint(saved)

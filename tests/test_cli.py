@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import rewrite_header
+from prunelab import cli, ops
 from prunelab.checkpoint import save_checkpoint
+from prunelab.data import CIFAR_RECORD_BYTES
 from prunelab.model import Architecture, ConvSpec, build_model
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,6 +62,37 @@ class TestExitCodes:
         bad.write_bytes(b"JUNKJUNKJUNK")
         res = run_cli("analyze", bad)
         assert res.returncode == 1
+
+    def test_checkpoint_without_masks_is_runtime_error(self, abc_checkpoint):
+        rewrite_header(abc_checkpoint, lambda h: h.pop("masks"))
+        res = run_cli("flops", abc_checkpoint)
+        assert res.returncode == 1
+        assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+    def test_unknown_config_key_is_runtime_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochz": 3}))
+        res = run_cli("train", "--config", cfg, "--out-dir", tmp_path / "run")
+        assert res.returncode == 1
+        assert "error:" in res.stderr and "epochz" in res.stderr
+
+    def test_empty_eval_split_is_runtime_error(self, tmp_path):
+        # a single CIFAR .bin file gives a training split and no eval split
+        records = np.random.default_rng(0).integers(0, 10, size=(4, CIFAR_RECORD_BYTES), dtype=np.uint8)
+        (tmp_path / "one.bin").write_bytes(records.tobytes())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "arch": {
+                "input_shape": [3, 32, 32],
+                "conv_layers": [{"in_channels": 3, "out_channels": 4, "kernel": 3, "stride": 2, "pad": 1}],
+                "num_classes": 10,
+            },
+            "dataset": f"cifar10:{tmp_path / 'one.bin'}",
+            "epochs": 1, "interval": 1, "meta_attribute": "mean_weight",
+        }))
+        res = run_cli("train", "--config", cfg, "--out-dir", tmp_path / "run")
+        assert res.returncode == 1
+        assert "error:" in res.stderr and "Traceback" not in res.stderr
 
 
 class TestTrain:
@@ -120,6 +154,19 @@ class TestGradcheck:
         lines = [l for l in res.stdout.splitlines() if "max relative error" in l]
         assert len(lines) == 5
         assert all("[ok]" in l for l in lines)
+
+    def test_wrong_conv_gradient_fails(self, monkeypatch, capsys):
+        backward = ops.conv2d_backward
+
+        def scaled(*args, **kwargs):
+            grad_x, grad_w = backward(*args, **kwargs)
+            return grad_x, 1.01 * grad_w
+
+        monkeypatch.setattr(ops, "conv2d_backward", scaled)
+        assert cli.main(["gradcheck"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        # a 1% error in every conv weight gradient fails each conv line only
+        assert [l.endswith("[FAIL]") for l in lines] == [True, True, True, False, False]
 
 
 class TestVisualize:

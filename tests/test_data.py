@@ -43,6 +43,7 @@ class TestSyntheticDataset:
 
     def test_structure_is_learnable(self):
         # trained on the stripes, a small net should clear 0.9 eval accuracy
+        from conftest import momentum_buffers
         from prunelab.model import Architecture, ConvSpec, build_model, evaluate, train_epoch
 
         ds = gen_synthetic_dataset(seed=5, n_train=200, n_eval=100, classes=6, image_size=12)
@@ -53,8 +54,9 @@ class TestSyntheticDataset:
         )
         m = build_model(arch, seed=0)
         rng = np.random.default_rng(0)
+        velocity = momentum_buffers(m)
         for _ in range(25):
-            train_epoch(m, ds.train_x, ds.train_y, lr=0.05, momentum=0.9,
+            train_epoch(m, velocity, ds.train_x, ds.train_y, lr=0.05, momentum=0.9,
                         weight_decay=1e-4, batch_size=32, rng=rng)
         assert evaluate(m, ds.eval_x, ds.eval_y)["top1"] > 0.9
 

@@ -61,6 +61,10 @@ class TestConfig:
         cfg = tiny_config(prune_rate=0.25)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_unknown_key_named(self):
+        with pytest.raises(ValueError, match="epochz"):
+            ExperimentConfig.from_dict({"epochz": 3, "seed": 1})
+
     def test_lr_schedule_step_decay(self):
         cfg = tiny_config(epochs=20, lr=1.0, decay_factor=0.1)
         at = cfg.lr_schedule()

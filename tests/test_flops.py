@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunelab import flops, model as mdl
-from prunelab.flops import layer_flops, model_flops, theoretical_reduction, timing_harness
+from prunelab.flops import layer_flops, model_flops, theoretical_reduction
 from prunelab.model import Architecture, ConvSpec, build_model
 
 
@@ -133,22 +133,6 @@ class TestModelFlops:
         d = model_flops(three_layer_model).to_dict()
         assert set(d) == {
             "layers", "baseline_macs", "pruned_macs", "theoretical_reduction",
-            "measured_ms_baseline", "measured_ms_pruned",
         }
         assert {"index", "baseline_macs", "pruned_macs"} == set(d["layers"][0])
 
-
-class TestTimingHarness:
-    def test_returns_positive_median(self, three_layer_model):
-        batch = np.zeros((4, 1, 8, 8))
-        ms = timing_harness(three_layer_model, batch, warmup=0, reps=3)
-        assert ms > 0
-
-    def test_warmup_variants_complete(self, three_layer_model):
-        batch = np.zeros((2, 1, 8, 8))
-        assert timing_harness(three_layer_model, batch, warmup=0, reps=3) > 0
-        assert timing_harness(three_layer_model, batch, warmup=5, reps=3) > 0
-
-    def test_reps_floor(self, three_layer_model):
-        with pytest.raises(ValueError, match="reps"):
-            timing_harness(three_layer_model, np.zeros((1, 1, 8, 8)), reps=2)

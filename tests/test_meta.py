@@ -1,16 +1,13 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from prunelab import meta, model as mdl
+from prunelab import flops, meta, model as mdl
 from prunelab.criteria import DEFAULT_CRITERIA, Criterion
 from prunelab.data import gen_synthetic_dataset
-from prunelab.meta import (
-    TrainingPlan,
-    candidate_prune,
-    meta_attribute,
-    run_pruning_training,
-    select_criterion,
-)
+from prunelab.experiment import ExperimentConfig, run_experiment
+from prunelab.meta import candidate_prune, meta_attribute, select_criterion
 from prunelab.model import Architecture, ConvSpec, build_model
 
 ABC = np.array([[1.0, 1.0, 1.0], [1.1, 1.0, 1.0], [0.5, 0.3, 0.2]]).reshape(3, 3, 1, 1)
@@ -185,72 +182,89 @@ class TestSelectCriterion:
         with pytest.raises(ValueError, match="empty"):
             select_criterion(m, x, y, [], 0.4, "top1_loss", np.random.default_rng(0))
 
-
 class TestRunPruningTraining:
-    def run(self, ds, arch, **kwargs):
-        plan_args = dict(
-            epochs=4, interval=2, prune_rate=0.3, candidates=list(DEFAULT_CRITERIA),
-            attribute="top1_loss", lr=0.05, batch_size=16,
+    """The train -> select -> soft-prune loop, driven through run_experiment."""
+
+    def run(self, arch, **kwargs):
+        args = dict(
+            seed=21, arch=arch.to_dict(), image_size=6, n_train=60, n_eval=24,
+            epochs=4, interval=2, prune_rate=0.3, meta_attribute="top1_loss",
+            lr=0.05, batch_size=16,
         )
-        plan_args.update(kwargs)
-        m = build_model(arch, seed=21)
-        return run_pruning_training(
-            m, ds.train_x, ds.train_y, ds.eval_x[:24], ds.eval_y[:24],
-            TrainingPlan(**plan_args), np.random.default_rng(21),
-        )
+        args.update(kwargs)
+        res = run_experiment(ExperimentConfig(**args))
+        return res["model"], res["records"], res["reports"]
 
     def test_step_count(self, tiny_setup):
-        ds, arch = tiny_setup
-        _, records, reports = self.run(ds, arch, epochs=6, interval=2)
+        _, arch = tiny_setup
+        _, records, reports = self.run(arch, epochs=6, interval=2)
         assert len(records) == 3
         assert len(reports) == 6
 
     def test_trailing_partial_interval_gets_final_step(self, tiny_setup):
-        ds, arch = tiny_setup
-        _, records, _ = self.run(ds, arch, epochs=5, interval=2)
-        assert len(records) == 3  # epochs 2, 4, and the final one at 5
+        _, arch = tiny_setup
+        _, records, _ = self.run(arch, epochs=5, interval=2)
+        assert [r.epoch for r in records] == [2, 4, 5]  # the final step at 5
 
     def test_rate_zero_is_noop(self, tiny_setup):
-        ds, arch = tiny_setup
-        final, records, reports = self.run(ds, arch, epochs=2, interval=2, prune_rate=0.0)
+        _, arch = tiny_setup
+        final, records, _ = self.run(arch, epochs=2, interval=2, prune_rate=0.0)
         assert len(records) == 1
         assert final.total_filters() == sum(s.out_channels for s in arch.conv_layers)
-        from prunelab import flops
-
         rep = flops.model_flops(final)
         assert rep.pruned_total == rep.baseline_total
 
     def test_deterministic_records(self, tiny_setup):
-        ds, arch = tiny_setup
-        _, rec_a, rep_a = self.run(ds, arch)
-        _, rec_b, rep_b = self.run(ds, arch)
+        _, arch = tiny_setup
+        _, rec_a, rep_a = self.run(arch)
+        _, rec_b, rep_b = self.run(arch)
         assert [r.to_dict() for r in rec_a] == [r.to_dict() for r in rec_b]
-        assert [r.to_dict() for r in rep_a] == [r.to_dict() for r in rep_b]
+        assert [asdict(r) for r in rep_a] == [asdict(r) for r in rep_b]
 
     def test_greedy_invariant_over_full_run(self, tiny_setup):
-        ds, arch = tiny_setup
-        _, records, _ = self.run(ds, arch, epochs=6, attribute="top1_loss")
+        _, arch = tiny_setup
+        _, records, _ = self.run(arch, epochs=6, meta_attribute="top1_loss")
         for rec in records:
             sel = rec.candidate_gaps[rec.candidate_names.index(rec.selected)]
             assert sel <= min(rec.candidate_gaps)
             assert sum(rec.action) == 1 and set(rec.action) <= {0, 1}
 
     def test_final_model_is_compacted(self, tiny_setup):
-        ds, arch = tiny_setup
-        final, _, _ = self.run(ds, arch, prune_rate=0.4)
+        _, arch = tiny_setup
+        final, _, _ = self.run(arch, prune_rate=0.4)
         expected = sum(
             s.out_channels - int(0.4 * s.out_channels) for s in arch.conv_layers
         )
         assert final.total_filters() == expected
+        assert all(m.all() for m in final.masks)
+
+    def test_pruned_filters_restart_from_rest(self, tiny_setup, monkeypatch):
+        _, arch = tiny_setup
+        train_epoch = mdl.train_epoch
+        entering = []  # momentum buffers as each epoch starts
+
+        def spy(model, velocity, *args, **kwargs):
+            entering.append([v.copy() for v in velocity])
+            return train_epoch(model, velocity, *args, **kwargs)
+
+        monkeypatch.setattr(mdl, "train_epoch", spy)
+        _, records, _ = self.run(arch, epochs=3, interval=2)
+        for v, keep in zip(entering[2], records[0].masks):  # pruned after epoch 2
+            keep = np.asarray(keep, dtype=bool)
+            assert np.all(v[~keep] == 0.0)
+            assert np.all(v[keep].any(axis=(1, 2, 3)))
 
     def test_reference_initial_switch(self, tiny_setup):
-        ds, arch = tiny_setup
-        _, records, _ = self.run(ds, arch, reference_initial=True, attribute="mean_weight")
+        # every step measures its gap against the frozen epoch-0 model
+        _, arch = tiny_setup
+        _, records, _ = self.run(arch, reference_initial=True, meta_attribute="mean_weight")
+        initial = meta_attribute(build_model(arch, seed=21), None, None, "mean_weight")
         assert len(records) == 2
+        assert [r.reference_value for r in records] == [initial, initial]
+        _, current, _ = self.run(arch, meta_attribute="mean_weight")
+        assert current[1].reference_value != initial
 
-    def test_invalid_plan_rejected(self):
+    def test_invalid_plan_rejected(self, tiny_setup):
+        _, arch = tiny_setup
         with pytest.raises(ValueError, match="interval"):
-            TrainingPlan(
-                epochs=1, interval=2, prune_rate=0.1,
-                candidates=list(DEFAULT_CRITERIA), attribute="top1_loss", lr=0.1,
-            )
+            self.run(arch, epochs=1, interval=2)

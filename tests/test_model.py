@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import momentum_buffers
 from prunelab import model as mdl
 from prunelab.data import gen_synthetic_dataset
 from prunelab.model import Architecture, ConvSpec, build_model
@@ -93,7 +94,7 @@ class TestApplyMask:
         assert np.all(small_model.conv_weights[0][0] == 0.0)
         ds = gen_synthetic_dataset(seed=2, n_train=24, n_eval=6, classes=6, image_size=6)
         mdl.train_epoch(
-            small_model, ds.train_x, ds.train_y,
+            small_model, momentum_buffers(small_model), ds.train_x, ds.train_y,
             lr=0.1, momentum=0.9, weight_decay=0.0, batch_size=8,
             rng=np.random.default_rng(0),
         )
@@ -175,12 +176,18 @@ class TestFlattenFilters:
         assert np.array_equal(mdl.flatten_filters(w).reshape(w.shape), w)
 
 
+class TestEvaluate:
+    def test_empty_set_rejected(self, small_model):
+        with pytest.raises(ValueError, match="empty"):
+            mdl.evaluate(small_model, np.zeros((0, 1, 6, 6)), np.zeros(0, dtype=int))
+
+
 class TestTrainEpoch:
     def test_lr_zero_leaves_weights(self, small_model):
         ds = gen_synthetic_dataset(seed=0, n_train=24, n_eval=6, classes=6, image_size=6)
         before = [w.copy() for w in small_model.conv_weights]
         loss, _ = mdl.train_epoch(
-            small_model, ds.train_x, ds.train_y,
+            small_model, momentum_buffers(small_model), ds.train_x, ds.train_y,
             lr=0.0, momentum=0.9, weight_decay=1e-4, batch_size=8,
             rng=np.random.default_rng(1),
         )
@@ -195,7 +202,7 @@ class TestTrainEpoch:
         def run():
             m = build_model(two_layer_arch(), seed=5)
             mdl.train_epoch(
-                m, ds.train_x, ds.train_y,
+                m, momentum_buffers(m), ds.train_x, ds.train_y,
                 lr=0.05, momentum=0.9, weight_decay=5e-4, batch_size=8,
                 rng=np.random.default_rng(42),
             )
@@ -212,10 +219,11 @@ class TestTrainEpoch:
         )
         m = build_model(arch, seed=0)
         rng = np.random.default_rng(0)
+        velocity = momentum_buffers(m)
         acc = 0.0
         for _ in range(20):
             _, acc = mdl.train_epoch(
-                m, ds.train_x, ds.train_y,
+                m, velocity, ds.train_x, ds.train_y,
                 lr=0.05, momentum=0.9, weight_decay=1e-4, batch_size=16, rng=rng,
             )
         assert acc >= 0.95
