@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Architecture, ModelState
+from .model import Architecture, ModelState, check_masks
 
 MAGIC = b"MFPC"
 VERSION = 1
@@ -51,18 +51,6 @@ def save_checkpoint(model: ModelState, path: str | Path, seed: int = 0, epoch: i
             fh.write(np.ascontiguousarray(blob, dtype="<f8").tobytes())
 
 
-def _header_masks(raw: object, arch: Architecture) -> list[np.ndarray]:
-    if not isinstance(raw, list) or len(raw) != len(arch.conv_layers):
-        raise ValueError(f"masks must be a list of {len(arch.conv_layers)}, one per conv layer")
-    masks = []
-    for i, (m, spec) in enumerate(zip(raw, arch.conv_layers)):
-        m = np.asarray(m)
-        if m.shape != (spec.out_channels,) or not np.isin(m, (0, 1)).all():
-            raise ValueError(f"mask {i} must be {spec.out_channels} values of 0 or 1")
-        masks.append(m.astype(bool))
-    return masks
-
-
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     """Returns (model, header dict). Raises CheckpointError on malformed files."""
     raw = Path(path).read_bytes()
@@ -77,7 +65,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     try:
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
         arch = Architecture.from_dict(header["arch"])
-        masks = _header_masks(header["masks"], arch)
+        masks = check_masks(arch, header["masks"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: invalid header: {exc}") from exc
 

@@ -1,8 +1,9 @@
 """Command line front door.
 
-Subcommands: train, analyze, flops, gradcheck, visualize.
+Subcommands: train, sweep, analyze, flops, gradcheck, visualize.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
-Config precedence for train: flags beat the --config file beat defaults.
+Config precedence for train and sweep: flags beat the --config file beat
+defaults; a sweep's FIELD values and seeds beat all three.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from . import flops as flopsmod, meta, model as mdl, ops
 from .checkpoint import CheckpointError, load_checkpoint
 from .criteria import criterion_scores, parse_criterion, select_filters
-from .experiment import ExperimentConfig, render_feature_maps, run_experiment
+from .experiment import DEFAULT_CONFIG, ExperimentConfig, render_feature_maps, run_experiment
 
 GRADCHECK_TOLERANCE = 1e-4
 # three conv layers covering padding, stride 2 and a 1x1 kernel
@@ -36,6 +38,25 @@ def _rate(value: str) -> float:
     return rate
 
 
+def _count(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"count must be >= 1, got {value}")
+    return count
+
+
+def _name_list(value: str) -> list[str]:
+    return [c.strip() for c in value.split(",") if c.strip()]
+
+
+# fields a sweep may vary: every scalar config field but the seed, which
+# the sweep itself runs over
+SWEEP_FIELDS = [
+    f.name for f in fields(ExperimentConfig)
+    if f.name != "seed" and isinstance(getattr(DEFAULT_CONFIG, f.name), (int, float, str))
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prunelab",
@@ -43,17 +64,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="run a pruning-training experiment")
-    p.add_argument("--config", type=Path, help="JSON config file (flags override it)")
+    # each flag's dest is the ExperimentConfig field it overrides
+    config_flags = argparse.ArgumentParser(add_help=False)
+    config_flags.add_argument("--config", type=Path, help="JSON config file (flags override it)")
+    config_flags.add_argument("--prune-rate", type=_rate, dest="prune_rate")
+    config_flags.add_argument("--interval", type=int)
+    config_flags.add_argument("--epochs", type=int)
+    config_flags.add_argument("--criteria", type=_name_list,
+                              help="comma list, e.g. l1,l2,minkowski1,minkowski2,cosine")
+    config_flags.add_argument("--meta-attribute", dest="meta_attribute",
+                              choices=list(meta.META_ATTRIBUTES))
+    config_flags.add_argument("--dataset", help="'synthetic' or 'cifar10:<path>'")
+
+    p = sub.add_parser("train", parents=[config_flags], help="run a pruning-training experiment")
     p.add_argument("--seed", type=int)
-    p.add_argument("--prune-rate", type=_rate, dest="prune_rate")
-    p.add_argument("--interval", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--criteria", help="comma list, e.g. l1,l2,minkowski1,minkowski2,cosine")
-    p.add_argument("--meta-attribute", dest="meta_attribute",
-                   choices=list(meta.META_ATTRIBUTES))
-    p.add_argument("--dataset", help="'synthetic' or 'cifar10:<path>'")
     p.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("runs/latest"))
+
+    # no abbreviations, so that a stray --seed cannot pass as --seeds
+    p = sub.add_parser(
+        "sweep", parents=[config_flags], allow_abbrev=False,
+        help="run one config field over several values and seeds; one line of final top-1 per value",
+    )
+    p.add_argument("field", metavar="FIELD", choices=SWEEP_FIELDS,
+                   help=f"config field to vary, one of: {', '.join(SWEEP_FIELDS)}")
+    p.add_argument("values", metavar="VALUE", nargs="+", help="read with the type of FIELD's default")
+    p.add_argument("--seeds", type=_count, default=3, help="run seeds 0..N-1 for each value")
 
     p = sub.add_parser("analyze", help="score one layer of a checkpoint")
     p.add_argument("checkpoint", type=Path)
@@ -75,17 +110,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def config_from_args(args: argparse.Namespace, **overrides) -> ExperimentConfig:
+    """The validated config: the --config file, then every flag given whose
+    dest is a config field, then the overrides."""
+    cfg = json.loads(args.config.read_text()) if args.config else {}
+    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if getattr(args, f.name, None) is not None}
+    # from_dict rejects a file that holds no JSON object
+    config = ExperimentConfig.from_dict({**cfg, **flags, **overrides} if isinstance(cfg, dict) else cfg)
+    config.validate()
+    return config
+
+
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg_dict = {}
-    if args.config:
-        cfg_dict = json.loads(args.config.read_text())
-    for key in ("seed", "prune_rate", "interval", "epochs", "meta_attribute", "dataset"):
-        val = getattr(args, key)
-        if val is not None:
-            cfg_dict[key] = val
-    if args.criteria is not None:
-        cfg_dict["criteria"] = [c.strip() for c in args.criteria.split(",") if c.strip()]
-    config = ExperimentConfig.from_dict(cfg_dict)
+    config = config_from_args(args)
     result = run_experiment(config, out_dir=args.out_dir)
     rep = result["reports"][-1]
     fl = result["flops"]
@@ -95,6 +133,35 @@ def cmd_train(args: argparse.Namespace) -> int:
           f"(reduction {fl.theoretical_reduction_ratio:.4f})")
     for name, path in sorted(result["files"].items()):
         print(f"wrote {name}: {path}")
+    return 0
+
+
+def _sweep_value(field: str, text: str):
+    kind = type(getattr(DEFAULT_CONFIG, field))
+    if kind is bool:
+        if text not in ("true", "false"):
+            raise ValueError(f"{field} must be true or false, got {text!r}")
+        return text == "true"
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{field} must be {kind.__name__}, got {text!r}") from None
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    # build and validate every cell before the first run
+    cells = []
+    for text in args.values:
+        value = _sweep_value(args.field, text)
+        cells.append((value, [config_from_args(args, **{args.field: value, "seed": seed})
+                              for seed in range(args.seeds)]))
+    print(f"{args.field}  mean_top1  per_seed_top1  criteria_selected")
+    for value, configs in cells:
+        results = [run_experiment(config) for config in configs]
+        top1 = [res["reports"][-1].eval_top1 for res in results]
+        selected = sorted({rec.selected for res in results for rec in res["records"]})
+        print(f"{value}  {np.mean(top1):.4f}  {','.join(f'{a:.4f}' for a in top1)}  "
+              f"{','.join(selected)}", flush=True)
     return 0
 
 
@@ -159,6 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "train": cmd_train,
+        "sweep": cmd_sweep,
         "analyze": cmd_analyze,
         "flops": cmd_flops,
         "gradcheck": cmd_gradcheck,

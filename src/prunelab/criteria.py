@@ -80,34 +80,13 @@ def lp_norm_scores(weights: np.ndarray, p: float) -> np.ndarray:
     return (flat**p).sum(axis=1) ** (1.0 / p)
 
 
-def minkowski_distance(x: np.ndarray, y: np.ndarray, p: float) -> float:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return float((np.abs(x - y) ** p).sum() ** (1.0 / p))
-
-
-def cosine_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """1 - cos(x, y) in [0, 2]; pairs involving a zero vector score 1."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if nx == 0 or ny == 0:
-        log.warning("cosine distance on a zero-norm vector; returning 1.0")
-        return 1.0
-    return float(np.clip(1.0 - float(x @ y) / (nx * ny), 0.0, 2.0))
-
-
 def _pairwise_distance_matrix(z: np.ndarray, criterion: Criterion) -> np.ndarray:
-    n = z.shape[0]
     if criterion.kind == "minkowski":
-        diff = np.abs(z[:, None, :] - z[None, :, :]) ** criterion.p
-        d = diff.sum(axis=2) ** (1.0 / criterion.p)
+        # one row at a time: an (N, D) temporary instead of (N, N, D)
+        p = criterion.p
+        d = np.empty((z.shape[0], z.shape[0]))
+        for i, row in enumerate(z):
+            d[i] = (np.abs(row - z) ** p).sum(axis=1) ** (1.0 / p)
     else:  # cosine
         # cosine is invariant to positive per-filter rescaling; dividing each
         # row by its max |entry| keeps the Gram diagonal near 1 so the

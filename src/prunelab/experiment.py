@@ -14,6 +14,7 @@ wall_time_seconds in manifest.json, the field to mask when comparing runs.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -65,6 +66,8 @@ class ExperimentConfig:
     reference_initial: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name), getattr(DEFAULT_CONFIG, f.name))
         if not (self.epochs >= self.interval >= 1):
             raise ValueError(
                 f"need epochs >= interval >= 1 (epochs={self.epochs}, interval={self.interval})"
@@ -108,15 +111,31 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        d = dict(d)
-        if "criteria" in d:
-            d["criteria"] = tuple(d["criteria"])
-        if "decay_at" in d:
-            d["decay_at"] = tuple(d["decay_at"])
+        d = {k: tuple(v) if isinstance(v, list) and isinstance(getattr(DEFAULT_CONFIG, k), tuple) else v
+             for k, v in d.items()}
         return ExperimentConfig(**d)
+
+
+DEFAULT_CONFIG = ExperimentConfig()
+
+
+def _check_type(key: str, value, default) -> None:
+    """Raise ValueError unless value has the type of the key's default: an
+    int passes as a float, and a tuple's items are checked against its first."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (tuple, list)):
+            raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+        for item in value:
+            _check_type(key, item, default[0])
+        return
+    kind = {bool: bool, int: numbers.Integral, float: numbers.Real}.get(type(default), type(default))
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"config key {key!r} must be {type(default).__name__}, got {value!r}")
 
 
 @dataclass

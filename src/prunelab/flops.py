@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelState
+from .model import ModelState, check_masks
 
 
 @dataclass
@@ -68,18 +68,11 @@ def theoretical_reduction(p_i: float, p_iplus1: float) -> float:
 
 def model_flops(model: ModelState, masks: list[np.ndarray] | None = None) -> FlopsReport:
     """Per-layer MAC counts, baseline and with the given keep-masks applied."""
-    masks = masks if masks is not None else model.masks
-    if len(masks) != len(model.arch.conv_layers):
-        raise ValueError(
-            f"got {len(masks)} masks for {len(model.arch.conv_layers)} layers"
-        )
+    masks = check_masks(model.arch, masks if masks is not None else model.masks)
     sizes = model.arch.spatial_sizes()
     layers = []
     prev_kept = model.arch.input_shape[0]  # input channels are never pruned
     for i, (spec, m, (h, w)) in enumerate(zip(model.arch.conv_layers, masks, sizes)):
-        m = np.asarray(m, dtype=bool)
-        if m.shape != (spec.out_channels,):
-            raise ValueError(f"mask {i} length {m.shape} != {spec.out_channels} filters")
         kept = int(m.sum())
         base = layer_flops(spec.in_channels, spec.out_channels, spec.kernel, h, w)
         pruned = (

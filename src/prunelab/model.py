@@ -90,11 +90,16 @@ class Architecture:
 
     @staticmethod
     def from_dict(d: dict) -> "Architecture":
-        return Architecture(
-            input_shape=tuple(d["input_shape"]),
-            conv_layers=tuple(ConvSpec(**s) for s in d["conv_layers"]),
-            num_classes=d["num_classes"],
-        )
+        try:
+            return Architecture(
+                input_shape=tuple(d["input_shape"]),
+                conv_layers=tuple(ConvSpec(**s) for s in d["conv_layers"]),
+                num_classes=d["num_classes"],
+            )
+        except KeyError as exc:
+            raise ValueError(f"arch is missing key {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed arch: {exc}") from exc
 
 
 @dataclass
@@ -183,35 +188,33 @@ def conv_feature_maps(model: ModelState, image: np.ndarray, layer_index: int) ->
     return caches[layer_index][2][0]
 
 
-def _check_masks(model: ModelState, masks: list[np.ndarray]) -> list[np.ndarray]:
-    if len(masks) != len(model.conv_weights):
-        raise ValueError(
-            f"got {len(masks)} masks for {len(model.conv_weights)} conv layers"
-        )
+def check_masks(arch: Architecture, masks: list) -> list[np.ndarray]:
+    """Keep-masks as bool arrays; raises ValueError unless there is one mask
+    per conv layer holding a 0 or 1 for each of its filters."""
+    if not isinstance(masks, (list, tuple)) or len(masks) != len(arch.conv_layers):
+        raise ValueError(f"masks must be a list of {len(arch.conv_layers)}, one per conv layer")
     out = []
-    for i, (m, spec) in enumerate(zip(masks, model.arch.conv_layers)):
-        m = np.asarray(m, dtype=bool)
-        if m.shape != (spec.out_channels,):
-            raise ValueError(
-                f"mask {i} has length {m.shape}, layer has {spec.out_channels} filters"
-            )
-        out.append(m)
+    for i, (m, spec) in enumerate(zip(masks, arch.conv_layers)):
+        m = np.asarray(m)
+        if m.shape != (spec.out_channels,) or not np.isin(m, (0, 1)).all():
+            raise ValueError(f"mask {i} must be {spec.out_channels} values of 0 or 1")
+        out.append(m.astype(bool))
     return out
 
 
 def apply_mask(model: ModelState, masks: list[np.ndarray]) -> ModelState:
     """Soft prune in place: zero pruned filters' weights."""
-    masks = _check_masks(model, masks)
+    masks = check_masks(model.arch, masks)
     for w, m in zip(model.conv_weights, masks):
         w[~m] = 0.0
-    model.masks = [m.copy() for m in masks]
+    model.masks = masks
     return model
 
 
 def compact(model: ModelState, masks: list[np.ndarray]) -> ModelState:
     """Hard prune: physically drop pruned output channels and the matching
     input channels downstream. Returns a new model."""
-    masks = _check_masks(model, masks)
+    masks = check_masks(model.arch, masks)
     for i, m in enumerate(masks):
         if not m.any():
             raise ValueError(f"mask {i} prunes every filter of layer {i}")

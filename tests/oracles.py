@@ -1,0 +1,31 @@
+"""Brute-force distance oracles, one pair of filters at a time, for checking
+criteria.average_distance_scores."""
+
+import logging
+
+import numpy as np
+
+log = logging.getLogger(__name__)
+
+
+def minkowski_distance(x: np.ndarray, y: np.ndarray, p: float) -> float:
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    return float((np.abs(x - y) ** p).sum() ** (1.0 / p))
+
+
+def cosine_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """1 - cos(x, y) in [0, 2]; pairs involving a zero vector score 1."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    if nx == 0 or ny == 0:
+        log.warning("cosine distance on a zero-norm vector; returning 1.0")
+        return 1.0
+    return float(np.clip(1.0 - float(x @ y) / (nx * ny), 0.0, 2.0))

@@ -12,15 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import random_architecture
+from oracles import cosine_distance, minkowski_distance
 from prunelab import model as mdl, ops
-from prunelab.criteria import (
-    Criterion,
-    average_distance_scores,
-    cosine_distance,
-    lp_norm_scores,
-    minkowski_distance,
-    select_filters,
-)
+from prunelab.criteria import Criterion, average_distance_scores, lp_norm_scores, select_filters
 from prunelab.experiment import ExperimentConfig, run_experiment
 from prunelab.flops import model_flops, theoretical_reduction
 from prunelab.model import build_model, forward, loss_and_gradients

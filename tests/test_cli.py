@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,11 @@ from conftest import rewrite_header
 from prunelab import cli, ops
 from prunelab.checkpoint import save_checkpoint
 from prunelab.data import CIFAR_RECORD_BYTES
+from prunelab.experiment import ExperimentConfig, run_experiment
 from prunelab.model import Architecture, ConvSpec, build_model
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def run_cli(*args, cwd=None):
@@ -76,6 +79,14 @@ class TestExitCodes:
         assert res.returncode == 1
         assert "error:" in res.stderr and "epochz" in res.stderr
 
+    @pytest.mark.parametrize("cfg,key", [({"epochs": "3"}, "epochs"), ({"arch": {}}, "input_shape")])
+    def test_bad_config_value_is_runtime_error(self, tmp_path, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        res = run_cli("train", "--config", path, "--out-dir", tmp_path / "run")
+        assert res.returncode == 1
+        assert "error:" in res.stderr and key in res.stderr and "Traceback" not in res.stderr
+
     def test_empty_eval_split_is_runtime_error(self, tmp_path):
         # a single CIFAR .bin file gives a training split and no eval split
         records = np.random.default_rng(0).integers(0, 10, size=(4, CIFAR_RECORD_BYTES), dtype=np.uint8)
@@ -119,6 +130,93 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["prune_rate"] == 0.3  # flag beats file
         assert manifest["config"]["seed"] == 1          # file beats default
+
+
+TINY = {
+    "arch": {
+        "input_shape": [1, 8, 8],
+        "conv_layers": [
+            {"in_channels": 1, "out_channels": 5, "kernel": 3, "stride": 1, "pad": 1},
+            {"in_channels": 5, "out_channels": 6, "kernel": 3, "stride": 2, "pad": 1},
+        ],
+        "num_classes": 6,
+    },
+    "n_train": 48, "n_eval": 24, "image_size": 8, "batch_size": 16, "epochs": 2,
+    "meta_attribute": "top1_loss",
+}
+
+
+@pytest.fixture
+def tiny_cfg(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY))
+    return path
+
+
+def direct_sweep_lines(field, values, seeds):
+    """What `prunelab sweep` prints, from run_experiment called directly."""
+    lines = [f"{field}  mean_top1  per_seed_top1  criteria_selected"]
+    for value in values:
+        results = [run_experiment(ExperimentConfig.from_dict({**TINY, field: value, "seed": seed}))
+                   for seed in range(seeds)]
+        top1 = [res["reports"][-1].eval_top1 for res in results]
+        selected = sorted({rec.selected for res in results for rec in res["records"]})
+        lines.append(f"{value}  {np.mean(top1):.4f}  {','.join(f'{a:.4f}' for a in top1)}  "
+                     f"{','.join(selected)}")
+    return lines
+
+
+class TestSweep:
+    def test_interval_sweep_matches_direct_runs(self, tiny_cfg):
+        res = run_cli("sweep", "interval", "1", "2", "--seeds", "2", "--config", tiny_cfg)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == direct_sweep_lines("interval", [1, 2], 2)
+
+    def test_meta_attribute_sweep_matches_direct_runs(self, tiny_cfg, capsys):
+        assert cli.main(["sweep", "meta_attribute", "mean_weight", "random",
+                         "--seeds", "2", "--config", str(tiny_cfg)]) == 0
+        assert capsys.readouterr().out.splitlines() == direct_sweep_lines(
+            "meta_attribute", ["mean_weight", "random"], 2)
+
+    @pytest.mark.parametrize("field", ["criteria", "arch", "decay_at", "seed", "epochz"])
+    def test_unsweepable_field_is_usage_error(self, field, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", field, "1"])
+        assert exc.value.code == 2
+        assert "FIELD" in capsys.readouterr().err
+
+    def test_stray_seed_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "interval", "1", "--seed", "3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("field,values", [
+        ("interval", ["1", "x"]), ("interval", ["1", "0"]), ("prune_rate", ["0.2", "1.5"]),
+        ("reference_initial", ["true", "maybe"]),
+    ])
+    def test_bad_value_fails_before_any_run(self, tiny_cfg, field, values):
+        res = run_cli("sweep", field, *values, "--seeds", "1", "--config", tiny_cfg)
+        assert res.returncode in (1, 2)
+        assert "error:" in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+
+def readme_cli_lines():
+    text = README.read_text()
+    section = text[text.index("\n## CLI\n") + 1:]
+    section = section[: section.find("\n## ")]  # up to the next second-level heading
+    return [line for line in section.splitlines() if line.startswith("prunelab ")]
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        lines = readme_cli_lines()
+        assert len(lines) >= 10
+        for line in lines:
+            try:
+                cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}")
 
 
 class TestAnalyze:

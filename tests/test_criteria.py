@@ -1,17 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import cosine_distance, minkowski_distance
 from prunelab import criteria
 from prunelab.criteria import (
     Criterion,
     average_distance_scores,
-    cosine_distance,
     criterion_scores,
     lp_norm_scores,
-    minkowski_distance,
     parse_criterion,
     select_filters,
 )
@@ -108,6 +109,17 @@ class TestAverageDistance:
     def test_norm_criterion_rejected(self):
         with pytest.raises(ValueError, match="not a distance"):
             average_distance_scores(ABC, Criterion("norm", 1))
+
+    def test_minkowski_memory_bounded_on_wide_layer(self):
+        # 128 filters of 1152 weights: an (N, N, D) float64 temporary would be 151 MB
+        bank = np.random.default_rng(0).normal(size=(128, 128, 3, 3))
+        tracemalloc.start()
+        try:
+            criterion_scores(bank, Criterion("minkowski", 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestSelectFilters:

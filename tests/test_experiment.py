@@ -57,6 +57,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="criterion"):
             tiny_config(criteria=("l1", "bogus")).validate()
 
+    @pytest.mark.parametrize("key,value", [
+        ("epochs", "3"), ("epochs", True), ("prune_rate", None), ("criteria", "l1"),
+        ("criteria", [1]), ("reference_initial", 1), ("arch", []),
+    ])
+    def test_wrong_value_type_named(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}' must be"):
+            ExperimentConfig.from_dict({key: value}).validate()
+
+    def test_int_passes_as_float(self):
+        ExperimentConfig.from_dict({"prune_rate": 0, "lr": 1}).validate()
+
+    def test_malformed_arch_named(self):
+        with pytest.raises(ValueError, match="arch is missing key 'conv_layers'"):
+            ExperimentConfig.from_dict({"arch": {"input_shape": [1, 8, 8]}}).validate()
+
     def test_round_trip_dict(self):
         cfg = tiny_config(prune_rate=0.25)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg

@@ -129,6 +129,12 @@ class TestModelFlops:
         got = 1.0 - interior.pruned_macs / interior.baseline_macs
         assert got == pytest.approx(theoretical_reduction(p, p), abs=1e-12)
 
+    def test_wrong_length_mask_rejected(self, three_layer_model):
+        masks = [m.copy() for m in three_layer_model.masks]
+        masks[1] = masks[1][:-1]
+        with pytest.raises(ValueError, match="mask 1"):
+            model_flops(three_layer_model, masks)
+
     def test_json_fields(self, three_layer_model):
         d = model_flops(three_layer_model).to_dict()
         assert set(d) == {

@@ -87,6 +87,10 @@ class TestApplyMask:
         with pytest.raises(ValueError, match="mask"):
             mdl.apply_mask(small_model, [np.ones(3, dtype=bool), small_model.masks[1]])
 
+    def test_non_binary_mask_rejected(self, small_model):
+        with pytest.raises(ValueError, match="mask 1"):
+            mdl.apply_mask(small_model, [small_model.masks[0], np.full(6, 2)])
+
     def test_pruned_filter_can_recover_after_sgd(self, small_model):
         masks = [m.copy() for m in small_model.masks]
         masks[0][0] = False
