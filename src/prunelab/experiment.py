@@ -68,6 +68,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         for f in fields(self):
             _check_type(f.name, getattr(self, f.name), getattr(DEFAULT_CONFIG, f.name))
+        for key in ("batch_size", "eval_batch_size", "n_train", "n_eval", "image_size"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"config key {key!r} must be >= 1, got {getattr(self, key)}")
         if not (self.epochs >= self.interval >= 1):
             raise ValueError(
                 f"need epochs >= interval >= 1 (epochs={self.epochs}, interval={self.interval})"
@@ -79,6 +82,12 @@ class ExperimentConfig:
                 f"meta_attribute must be one of {meta.META_ATTRIBUTES}, got {self.meta_attribute!r}"
             )
         arch = self.architecture()
+        synthetic_shape = (1, self.image_size, self.image_size)
+        if self.dataset == "synthetic" and arch.input_shape != synthetic_shape:
+            raise ValueError(
+                f"arch input_shape {list(arch.input_shape)} does not match the synthetic "
+                f"images {list(synthetic_shape)} (one channel, image_size {self.image_size})"
+            )
         if self.meta_attribute == "top5_loss" and arch.num_classes < 6:
             raise ValueError("top5_loss needs >= 6 classes")
         for name in self.criteria:
@@ -192,7 +201,10 @@ def run_experiment(
     records: list[meta.PruneStepRecord] = []
     reports: list[EpochReport] = []
 
-    def prune_step(epoch: int) -> None:
+    def prune_step(epoch: int) -> dict | None:
+        """Select and apply one criterion's masks; returns the selected
+        trial's model.evaluate result, which now equals the model's, if
+        selection ran one."""
         _, masks, record = meta.select_criterion(
             model, eval_x, eval_y, candidates, config.prune_rate,
             config.meta_attribute, rng, step=len(records) + 1, epoch=epoch,
@@ -202,6 +214,7 @@ def run_experiment(
         for v, m in zip(velocity, masks):  # a pruned filter restarts from rest
             v[~m] = 0.0
         records.append(record)
+        return record.selected_eval
 
     for epoch in range(1, config.epochs + 1):
         loss, acc = mdl.train_epoch(
@@ -209,9 +222,9 @@ def run_experiment(
             lr=lr_at(epoch), momentum=config.momentum,
             weight_decay=config.weight_decay, batch_size=config.batch_size, rng=rng,
         )
-        if epoch % config.interval == 0:
-            prune_step(epoch)
-        stats = mdl.evaluate(model, eval_x, eval_y)
+        stats = prune_step(epoch) if epoch % config.interval == 0 else None
+        if stats is None:
+            stats = mdl.evaluate(model, eval_x, eval_y)
         reports.append(
             EpochReport(
                 epoch=epoch,

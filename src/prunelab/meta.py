@@ -3,15 +3,18 @@
 At each pruning step every candidate criterion is tried on a throwaway
 masked copy of the current model; the criterion whose meta-attribute gap
 |M(pruned) - M(reference)| is smallest wins and its masks are applied
-softly. By default the reference is the current pre-step model; a config
-switch allows comparing against a frozen initial snapshot instead.
+softly. Candidates whose masks coincide prune to the same model, so each
+distinct mask set is scored once per step (the `random` attribute still
+draws one value per candidate). By default the reference is the current
+pre-step model; a config switch allows comparing against a frozen initial
+snapshot instead.
 
 Exactly one criterion is applied per step (one-hot action vector).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +38,9 @@ class PruneStepRecord:
     reference_value: float
     masks: list[list[int]]
     attribute: str
+    # model.evaluate of the selected trial when the attribute ran one (top-k
+    # losses), else None; not part of the report
+    selected_eval: dict | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -62,6 +68,17 @@ def meta_attribute(
     rng: np.random.Generator | None = None,
 ) -> float:
     """Scalar characterization of a network used for pruned-vs-original gaps."""
+    return _attribute_and_eval(model, eval_x, eval_y, attribute, rng)[0]
+
+
+def _attribute_and_eval(
+    model: ModelState,
+    eval_x: np.ndarray | None,
+    eval_y: np.ndarray | None,
+    attribute: str,
+    rng: np.random.Generator | None,
+) -> tuple[float, dict | None]:
+    """meta_attribute plus the model.evaluate result it came from, if any."""
     if attribute not in META_ATTRIBUTES:
         raise ValueError(f"unknown meta-attribute {attribute!r}, expected one of {META_ATTRIBUTES}")
     if attribute in ("top5_loss", "top1_loss"):
@@ -73,17 +90,17 @@ def meta_attribute(
                 "(top-5 accuracy is always 1.0 when classes <= 5)"
             )
         stats = mdl.evaluate(model, eval_x, eval_y)
-        return 1.0 - (stats["top5"] if attribute == "top5_loss" else stats["top1"])
+        return 1.0 - (stats["top5"] if attribute == "top5_loss" else stats["top1"]), stats
     if attribute == "mean_weight":
         total = sum(w.sum() for w in model.conv_weights)
         count = sum(w.size for w in model.conv_weights)
-        return float(total / count)
+        return float(total / count), None
     if attribute == "sparsity":
-        return float(model.nonzero_filter_count())
+        return float(model.nonzero_filter_count()), None
     # random: seeded uniform baseline, no model information
     if rng is None:
         raise ValueError("random meta-attribute needs an rng")
-    return float(rng.uniform())
+    return float(rng.uniform()), None
 
 
 def candidate_prune(model: ModelState, criterion: Criterion, rate: float) -> list[np.ndarray]:
@@ -115,20 +132,34 @@ def select_criterion(
     """Evaluate every candidate on a masked copy and pick the gap minimizer
     (ties: earliest in list order). The input model is never mutated.
 
+    Candidates with identical masks share one masked copy and one score;
+    `random` scores draw from rng once per candidate all the same. When the
+    attribute evaluates the trials, record.selected_eval is the winner's
+    model.evaluate result, which equals evaluating the model once its masks
+    are applied.
+
     The gap reference defaults to the current model; pass reference_model to
     compare against a frozen snapshot instead."""
     if not candidates:
         raise ValueError("candidate list is empty")
     ref = meta_attribute(reference_model or model, eval_x, eval_y, attribute, rng)
-    names, values, gaps, all_masks = [], [], [], []
+    names, values, gaps, all_masks, evals = [], [], [], [], []
+    scored: dict[bytes, tuple[float, dict | None]] = {}  # mask bytes -> trial score
     for cand in candidates:
         masks = candidate_prune(model, cand, rate)
-        trial = mdl.apply_mask(model.copy(), masks)
-        val = meta_attribute(trial, eval_x, eval_y, attribute, rng)
+        if attribute == "random":  # no model information: one draw per candidate
+            val, stats = float(rng.uniform()), None
+        else:
+            key = b"".join(m.tobytes() for m in masks)
+            if key not in scored:
+                trial = mdl.apply_mask(model.copy(), masks)
+                scored[key] = _attribute_and_eval(trial, eval_x, eval_y, attribute, rng)
+            val, stats = scored[key]
         names.append(cand.name)
         values.append(val)
         gaps.append(abs(val - ref))
         all_masks.append(masks)
+        evals.append(stats)
     if attribute == "random":
         pick = int(rng.integers(len(candidates)))
     else:
@@ -147,6 +178,7 @@ def select_criterion(
         reference_value=float(ref),
         masks=[m.astype(int).tolist() for m in all_masks[pick]],
         attribute=attribute,
+        selected_eval=evals[pick],
     )
     return candidates[pick], all_masks[pick], record
 

@@ -152,8 +152,12 @@ def flatten_filters(weights: np.ndarray) -> np.ndarray:
     return weights.reshape(weights.shape[0], -1)
 
 
-def _forward_activations(model: ModelState, batch: np.ndarray) -> tuple[list, np.ndarray]:
-    """Returns per-layer caches and logits. Caches hold (pre_relu, post_relu)."""
+def _forward_activations(
+    model: ModelState, batch: np.ndarray, keep_cols: bool = False
+) -> tuple[list, np.ndarray]:
+    """Returns per-layer caches and logits. Conv caches hold (input, pre_relu,
+    post_relu, cols); cols is the layer's im2col patch matrix when keep_cols
+    is set (for the backward pass), else None and freed inside the forward."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 4 or x.shape[1:] != model.arch.input_shape:
         raise ValueError(
@@ -162,9 +166,10 @@ def _forward_activations(model: ModelState, batch: np.ndarray) -> tuple[list, np
         )
     caches = []
     for spec, w in zip(model.arch.conv_layers, model.conv_weights):
-        pre = ops.conv2d_forward(x, w, spec.stride, spec.pad)
+        cols = ops.im2col(x, spec.kernel, spec.stride, spec.pad) if keep_cols else None
+        pre = ops.conv2d_forward(x, w, spec.stride, spec.pad, cols=cols)
         post = ops.relu_forward(pre)
-        caches.append((x, pre, post))
+        caches.append((x, pre, post, cols))
         x = post
     pooled = ops.global_avgpool_forward(x)
     logits = ops.linear_forward(pooled, model.fc_weight, model.fc_bias)
@@ -275,7 +280,7 @@ def loss_and_gradients(
 
     Gradient dict keys: "conv" (list per layer), "fc_weight", "fc_bias".
     """
-    caches, logits = _forward_activations(model, x)
+    caches, logits = _forward_activations(model, x, keep_cols=True)
     loss, grad_logits = ops.softmax_cross_entropy(logits, y)
     pooled_in, pooled = caches[-1]
     grad_pooled, grad_fc_w, grad_fc_b = ops.linear_backward(
@@ -284,13 +289,15 @@ def loss_and_gradients(
     grad = ops.global_avgpool_backward(pooled_in, grad_pooled)
     conv_grads: list[np.ndarray] = [None] * len(model.conv_weights)  # type: ignore
     for i in range(len(model.conv_weights) - 1, -1, -1):
-        xin, pre, _post = caches[i]
+        xin, pre, _post, cols = caches[i]
+        caches[i] = None  # the patch matrix lives only until this layer's backward
         grad = ops.relu_backward(pre, grad)
-        grad, gw = ops.conv2d_backward(
-            xin, model.conv_weights[i],
-            grad, model.arch.conv_layers[i].stride, model.arch.conv_layers[i].pad,
+        spec = model.arch.conv_layers[i]
+        # layer 0's input is the batch: its gradient has no consumer
+        grad, conv_grads[i] = ops.conv2d_backward(
+            xin, model.conv_weights[i], grad, spec.stride, spec.pad,
+            cols=cols, grad_input=i > 0,
         )
-        conv_grads[i] = gw
     grads = {"conv": conv_grads, "fc_weight": grad_fc_w, "fc_bias": grad_fc_b}
     return loss, logits, grads
 

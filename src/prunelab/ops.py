@@ -4,6 +4,11 @@ Everything here is double precision and purely functional: no op mutates
 its inputs, identical inputs produce bit-identical outputs. Convolution
 uses the cross-correlation convention (no kernel flip).
 
+Both conv passes work on the im2col patch matrix of their input. A caller
+that runs forward and backward on the same input can build it once with
+im2col and hand it to both as `cols`; the results are bit-identical to
+building it inside each call, and the patch matrix is only read.
+
 Shapes follow the (batch, channels, height, width) layout. The single-image
 variants accept (C, H, W) and add/strip the batch axis internally.
 """
@@ -47,25 +52,45 @@ def _as_batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-def _im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, H', W', C, K, K) patch view (copied)."""
+def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
+    """(B, C, H, W) -> (B, H', W', C, K, K) patch matrix (a contiguous copy)."""
     if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        b, c, h, w = x.shape
+        padded = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        x = padded
     win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]  # (B, C, H', W', K, K)
     return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
+def _patch_matrix(
+    xb: np.ndarray, w: np.ndarray, stride: int, pad: int, cols: np.ndarray | None
+) -> np.ndarray:
+    """The caller's patch matrix after a shape check, or a freshly built one."""
+    k = w.shape[2]
+    if cols is None:
+        return im2col(xb, k, stride, pad)
+    oh = conv_out_size(xb.shape[2], k, stride, pad)
+    ow = conv_out_size(xb.shape[3], k, stride, pad)
+    expect = (xb.shape[0], oh, ow, xb.shape[1], k, k)
+    if cols.shape != expect:
+        raise ValueError(f"cols shape {cols.shape} does not match patch matrix {expect}")
+    return cols
+
+
+def conv2d_forward(
+    x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0, *, cols: np.ndarray | None = None
+) -> np.ndarray:
     """Cross-correlate input with a filter bank.
 
     x: (C_in, H, W) or (B, C_in, H, W); w: (C_out, C_in, K, K).
+    cols: optional im2col(x, K, stride, pad) of the batched input.
     """
     xb, squeeze = _as_batched(np.asarray(x, dtype=np.float64))
     w = np.asarray(w, dtype=np.float64)
     _check_conv_shapes(xb, w, stride, pad)
-    k = w.shape[2]
-    cols = _im2col(xb, k, stride, pad)
+    cols = _patch_matrix(xb, w, stride, pad, cols)
     b, oh, ow = cols.shape[:3]
     out = cols.reshape(b * oh * ow, -1) @ w.reshape(w.shape[0], -1).T
     out = out.reshape(b, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
@@ -73,9 +98,20 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) 
 
 
 def conv2d_backward(
-    x: np.ndarray, w: np.ndarray, grad_out: np.ndarray, stride: int = 1, pad: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of sum(grad_out * conv2d_forward(x, w)) w.r.t. x and w."""
+    x: np.ndarray,
+    w: np.ndarray,
+    grad_out: np.ndarray,
+    stride: int = 1,
+    pad: int = 0,
+    *,
+    cols: np.ndarray | None = None,
+    grad_input: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Gradients of sum(grad_out * conv2d_forward(x, w)) w.r.t. x and w.
+
+    cols: optional im2col(x, K, stride, pad) of the batched input. With
+    grad_input=False the input gradient is not computed and comes back None.
+    """
     xb, squeeze = _as_batched(np.asarray(x, dtype=np.float64))
     w = np.asarray(w, dtype=np.float64)
     gb, _ = _as_batched(np.asarray(grad_out, dtype=np.float64))
@@ -87,22 +123,21 @@ def conv2d_backward(
     if gb.shape != expect:
         raise ValueError(f"grad_out shape {gb.shape} does not match conv output {expect}")
 
-    cols = _im2col(xb, k, stride, pad)  # (B, H', W', C, K, K)
+    cols = _patch_matrix(xb, w, stride, pad, cols)  # (B, H', W', C, K, K)
     g2 = gb.transpose(0, 2, 3, 1).reshape(-1, w.shape[0])  # (B*H'*W', C_out)
     grad_w = (g2.T @ cols.reshape(g2.shape[0], -1)).reshape(w.shape)
+    if not grad_input:
+        return None, grad_w
 
-    # scatter grad back: dcols = g @ w, then col2im
-    dcols = (g2 @ w.reshape(w.shape[0], -1)).reshape(
-        xb.shape[0], oh, ow, xb.shape[1], k, k
-    )
-    hp, wp = xb.shape[2] + 2 * pad, xb.shape[3] + 2 * pad
-    grad_xp = np.zeros((xb.shape[0], xb.shape[1], hp, wp))
+    # scatter grad back: dcols = g @ w, then col2im into a channel-last
+    # buffer, adding the (i, j) terms in the same order as a channel-first one
+    b, c, h, wd = xb.shape
+    dcols = (g2 @ w.reshape(w.shape[0], -1)).reshape(b, oh, ow, c, k, k)
+    grad_xp = np.zeros((b, h + 2 * pad, wd + 2 * pad, c))
     for i in range(k):
         for j in range(k):
-            grad_xp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += (
-                dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            )
-    grad_x = grad_xp[:, :, pad : pad + xb.shape[2], pad : pad + xb.shape[3]]
+            grad_xp[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += dcols[..., i, j]
+    grad_x = grad_xp[:, pad : pad + h, pad : pad + wd].transpose(0, 3, 1, 2)
     if squeeze:
         grad_x = grad_x[0]
     return grad_x, grad_w

@@ -79,7 +79,12 @@ class TestExitCodes:
         assert res.returncode == 1
         assert "error:" in res.stderr and "epochz" in res.stderr
 
-    @pytest.mark.parametrize("cfg,key", [({"epochs": "3"}, "epochs"), ({"arch": {}}, "input_shape")])
+    @pytest.mark.parametrize("cfg,key", [
+        ({"epochs": "3"}, "epochs"), ({"arch": {}}, "input_shape"),
+        ({"batch_size": 0}, "batch_size"), ({"eval_batch_size": 0}, "eval_batch_size"),
+        ({"n_train": 0}, "n_train"), ({"n_eval": 0}, "n_eval"), ({"image_size": 0}, "image_size"),
+        ({"image_size": 8}, "input_shape"),
+    ])
     def test_bad_config_value_is_runtime_error(self, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

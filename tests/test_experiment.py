@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from prunelab import model as mdl
+from prunelab import data as datamod, model as mdl
 from prunelab.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -72,6 +73,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="arch is missing key 'conv_layers'"):
             ExperimentConfig.from_dict({"arch": {"input_shape": [1, 8, 8]}}).validate()
 
+    @pytest.mark.parametrize("key", ["batch_size", "eval_batch_size", "n_train", "n_eval", "image_size"])
+    def test_size_below_one_named(self, key, monkeypatch):
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("dataset built before validation")
+
+        monkeypatch.setattr(datamod, "gen_synthetic_dataset", no_dataset)
+        with pytest.raises(ValueError, match=f"'{key}' must be >= 1, got 0"):
+            run_experiment(ExperimentConfig(**{key: 0}))
+
+    def test_synthetic_input_shape_checked(self):
+        with pytest.raises(ValueError, match=r"input_shape \[1, 16, 16\].*image_size 8"):
+            ExperimentConfig(image_size=8).validate()
+        arch = json.loads(json.dumps(TINY_ARCH))
+        arch["input_shape"] = [3, 8, 8]
+        arch["conv_layers"][0]["in_channels"] = 3
+        with pytest.raises(ValueError, match="one channel"):
+            tiny_config(arch=arch).validate()
+        tiny_config(arch=arch, dataset="cifar10:unused").validate()  # only synthetic is checked
+
     def test_round_trip_dict(self):
         cfg = tiny_config(prune_rate=0.25)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
@@ -116,6 +136,44 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "wall_time_seconds" in manifest
         assert manifest["config"]["seed"] == 0
+
+
+class TestGoldenBytes:
+    """Artifact digests pinned across hot-path changes: a change that moves
+    one output byte fails here. Floating-point results, and so these digests,
+    may differ under another numpy or BLAS build."""
+
+    GOLDEN = {
+        "mean_weight_reference_initial": (
+            dict(epochs=4, meta_attribute="mean_weight", reference_initial=True),
+            "9c24564bef689ee4d6ae5b9d3028d36e82e74d869c6e597d11d5a0543000e15b",
+            "d5a393048829fbf40711122d86bc2a66eae8efc35010b67fd35c82a3116a01a4",
+            "b9ff6fbeb68a9d86534e71031f05fd2dbebd8b9ce4146f1fb1385604ecf912ea",
+        ),
+        "random_interval_1": (
+            dict(epochs=4, interval=1, meta_attribute="random"),
+            "ccc911dda7401a3b809ad2e6eed09cfd83bf39a0a3888cf58b4d16fc825f9702",
+            "8b05c73bf6d239fc9bca107eb5b9ba16f1633a899e69be5031dcbed27bd0314c",
+            "8419843b7b249e630208e67160b349be8c693fef578de72c9fdcbbd64a36cdb4",
+        ),
+        # candidate masks coincide here, so shared trial scores are exercised
+        "top1_loss": (
+            dict(epochs=6, meta_attribute="top1_loss"),
+            "e812bccc98e5b638bed0136d6b9eeeb8b9b036bc062e79bf77057598ea736c82",
+            "9075d9d2c25a565de292eaef0ed629e63fb1be11e394caf7b815dc304df802a2",
+            "84c8202dbda0d158d59f700c07cb52070c1d51237620688fb13c4630919e1f8f",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_artifact_digests(self, name, tmp_path):
+        fields, *digests = self.GOLDEN[name]
+        run_experiment(ExperimentConfig(**fields), out_dir=tmp_path)
+        got = [
+            hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in ("report.csv", "report.json", "final.ckpt")
+        ]
+        assert got == digests
 
 
 class TestEmitReport:

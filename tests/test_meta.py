@@ -182,6 +182,87 @@ class TestSelectCriterion:
         with pytest.raises(ValueError, match="empty"):
             select_criterion(m, x, y, [], 0.4, "top1_loss", np.random.default_rng(0))
 
+class TestDistinctCandidates:
+    """Candidates with identical masks are scored on one shared trial."""
+
+    def spy_evaluate(self, monkeypatch):
+        calls = []
+        evaluate = mdl.evaluate
+
+        def spy(model, *args, **kwargs):
+            calls.append(model)
+            return evaluate(model, *args, **kwargs)
+
+        monkeypatch.setattr(mdl, "evaluate", spy)
+        return calls
+
+    @pytest.mark.parametrize("attribute", ["top1_loss", "top5_loss"])
+    def test_one_evaluation_per_distinct_mask_set(self, tiny_setup, monkeypatch, attribute):
+        ds, arch = tiny_setup
+        m = build_model(arch, seed=10)  # five default criteria, two distinct mask sets
+        distinct = {
+            b"".join(k.tobytes() for k in candidate_prune(m, c, 0.4)) for c in DEFAULT_CRITERIA
+        }
+        assert len(distinct) == 2
+        calls = self.spy_evaluate(monkeypatch)
+        _, masks, record = select_criterion(
+            m, ds.eval_x[:24], ds.eval_y[:24], list(DEFAULT_CRITERIA), 0.4, attribute,
+            np.random.default_rng(0),
+        )
+        assert len(calls) == 1 + len(distinct)
+        trial = mdl.apply_mask(m.copy(), masks)
+        assert record.selected_eval == mdl.evaluate(trial, ds.eval_x[:24], ds.eval_y[:24])
+
+    def test_shared_scores_equal_separate_scores(self, tiny_setup):
+        ds, arch = tiny_setup
+        m = build_model(arch, seed=10)
+        x, y = ds.eval_x[:24], ds.eval_y[:24]
+        _, _, record = select_criterion(
+            m, x, y, list(DEFAULT_CRITERIA), 0.4, "top1_loss", np.random.default_rng(0)
+        )
+        separate = [
+            meta_attribute(mdl.apply_mask(m.copy(), candidate_prune(m, c, 0.4)), x, y, "top1_loss")
+            for c in DEFAULT_CRITERIA
+        ]
+        assert record.candidate_values == separate
+
+    def test_random_draws_once_per_candidate(self, tiny_setup):
+        ds, arch = tiny_setup
+        m = build_model(arch, seed=10)  # masks coincide, the draws must not
+        _, _, record = select_criterion(
+            m, None, None, list(DEFAULT_CRITERIA), 0.4, "random", np.random.default_rng(3)
+        )
+        stream = np.random.default_rng(3)
+        assert record.reference_value == stream.uniform()
+        assert record.candidate_values == [stream.uniform() for _ in DEFAULT_CRITERIA]
+        assert record.action.index(1) == stream.integers(len(DEFAULT_CRITERIA))
+        assert record.selected_eval is None
+
+    def test_epoch_row_reuses_winning_evaluation(self, monkeypatch):
+        # per step: the reference plus one per distinct mask set, and no
+        # separate evaluation for the epoch row that follows the step
+        cfg = ExperimentConfig(epochs=6, meta_attribute="top1_loss")
+        calls = self.spy_evaluate(monkeypatch)
+        select, prune = meta.select_criterion, meta.candidate_prune
+        step_masks = []  # per prune step, the distinct candidate mask sets
+
+        def spy_select(*args, **kwargs):
+            step_masks.append(set())
+            return select(*args, **kwargs)
+
+        def spy_prune(*args):
+            masks = prune(*args)
+            step_masks[-1].add(b"".join(k.tobytes() for k in masks))
+            return masks
+
+        monkeypatch.setattr(meta, "select_criterion", spy_select)
+        monkeypatch.setattr(meta, "candidate_prune", spy_prune)
+        res = run_experiment(cfg)
+        steps = len(res["records"])
+        assert steps == 3 and any(len(s) < len(cfg.criteria) for s in step_masks)
+        assert len(calls) == sum(1 + len(s) for s in step_masks) + cfg.epochs - steps
+
+
 class TestRunPruningTraining:
     """The train -> select -> soft-prune loop, driven through run_experiment."""
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import momentum_buffers
-from prunelab import model as mdl
+from prunelab import model as mdl, ops
 from prunelab.data import gen_synthetic_dataset
 from prunelab.model import Architecture, ConvSpec, build_model
 
@@ -77,8 +77,6 @@ class TestApplyMask:
         mdl.apply_mask(small_model, masks)
         rng = np.random.default_rng(1)
         batch = rng.normal(size=(2, 1, 6, 6))
-        from prunelab import ops
-
         spec = small_model.arch.conv_layers[0]
         out = ops.conv2d_forward(batch, small_model.conv_weights[0], spec.stride, spec.pad)
         assert np.all(out[:, 1] == 0.0)
@@ -231,3 +229,66 @@ class TestTrainEpoch:
                 lr=0.05, momentum=0.9, weight_decay=1e-4, batch_size=16, rng=rng,
             )
         assert acc >= 0.95
+
+
+class TestPatchMatrixReuse:
+    """Training builds each conv layer's patch matrix once per batch and hands
+    it to backward; inference builds it inside the forward and drops it."""
+
+    def spy(self, monkeypatch):
+        calls = {"im2col": 0, "forward_cols": [], "backward": []}
+        im2col, forward, backward = ops.im2col, ops.conv2d_forward, ops.conv2d_backward
+
+        def count_im2col(*args, **kwargs):
+            calls["im2col"] += 1
+            return im2col(*args, **kwargs)
+
+        def spy_forward(*args, **kwargs):
+            calls["forward_cols"].append(kwargs.get("cols") is not None)
+            return forward(*args, **kwargs)
+
+        def spy_backward(*args, **kwargs):
+            grad_x, grad_w = backward(*args, **kwargs)
+            calls["backward"].append((kwargs.get("cols") is not None, grad_x is None))
+            return grad_x, grad_w
+
+        monkeypatch.setattr(ops, "im2col", count_im2col)
+        monkeypatch.setattr(ops, "conv2d_forward", spy_forward)
+        monkeypatch.setattr(ops, "conv2d_backward", spy_backward)
+        return calls
+
+    def test_one_build_per_layer_per_batch(self, small_model, monkeypatch):
+        ds = gen_synthetic_dataset(seed=0, n_train=24, n_eval=6, classes=6, image_size=6)
+        calls = self.spy(monkeypatch)
+        mdl.train_epoch(
+            small_model, momentum_buffers(small_model), ds.train_x, ds.train_y,
+            lr=0.05, momentum=0.9, weight_decay=0.0, batch_size=8,
+            rng=np.random.default_rng(0),
+        )
+        batches, layers = 3, len(small_model.conv_weights)
+        assert calls["im2col"] == batches * layers
+        assert calls["forward_cols"] == [True] * (batches * layers)
+        # backward runs last layer first; only layer 0 skips its input gradient
+        assert calls["backward"] == [(True, False), (True, True)] * batches
+
+    def test_inference_builds_inside_forward(self, small_model, monkeypatch):
+        calls = self.spy(monkeypatch)
+        mdl.evaluate(small_model, np.zeros((5, 1, 6, 6)), np.zeros(5, dtype=int))
+        assert calls["forward_cols"] == [False, False]
+        assert calls["im2col"] == 2 and calls["backward"] == []
+
+    def test_gradients_match_unshared_backward(self, small_model):
+        # the same gradients as conv passes that each build their own patch matrix
+        x = np.random.default_rng(3).normal(size=(4, 1, 6, 6))
+        y = np.array([0, 1, 2, 3])
+        _, _, grads = mdl.loss_and_gradients(small_model, x, y)
+        caches, logits = mdl._forward_activations(small_model, x)
+        _, grad = ops.softmax_cross_entropy(logits, y)
+        grad, _, _ = ops.linear_backward(caches[-1][1], small_model.fc_weight, grad)
+        grad = ops.global_avgpool_backward(caches[-1][0], grad)
+        for i in range(len(small_model.conv_weights) - 1, -1, -1):
+            xin, pre, _, _ = caches[i]
+            spec = small_model.arch.conv_layers[i]
+            grad = ops.relu_backward(pre, grad)
+            grad, gw = ops.conv2d_backward(xin, small_model.conv_weights[i], grad, spec.stride, spec.pad)
+            assert np.array_equal(gw, grads["conv"][i])

@@ -102,6 +102,48 @@ class TestConvBackward:
         assert ops.max_relative_error(gw, ops.finite_difference_grad(f_w, w.copy())) < 1e-5
 
 
+class TestPatchMatrixHandoff:
+    """A caller-built im2col patch matrix gives bit-identical conv results."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_supplied_cols_bit_equal(self, stride, pad):
+        rng = np.random.default_rng(stride * 10 + pad)
+        x = rng.normal(size=(2, 3, 7, 7))
+        w = rng.normal(size=(4, 3, 3, 3))
+        cols = ops.im2col(x, 3, stride, pad)
+        before = cols.copy()
+        out = ops.conv2d_forward(x, w, stride, pad)
+        assert np.array_equal(ops.conv2d_forward(x, w, stride, pad, cols=cols), out)
+        g = rng.normal(size=out.shape)
+        gx, gw = ops.conv2d_backward(x, w, g, stride, pad)
+        gx_c, gw_c = ops.conv2d_backward(x, w, g, stride, pad, cols=cols)
+        assert np.array_equal(gx_c, gx) and np.array_equal(gw_c, gw)
+        assert np.array_equal(cols, before)  # read, never written
+
+    def test_skipped_input_gradient(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(2, 2, 5, 5))
+        w = rng.normal(size=(3, 2, 3, 3))
+        g = rng.normal(size=(2, 3, 5, 5))
+        gx, gw = ops.conv2d_backward(x, w, g, 1, 1, grad_input=False)
+        assert gx is None
+        assert np.array_equal(gw, ops.conv2d_backward(x, w, g, 1, 1)[1])
+
+    def test_wrong_cols_shape_rejected(self):
+        x = np.zeros((1, 2, 5, 5))
+        w = np.zeros((3, 2, 3, 3))
+        with pytest.raises(ValueError, match="cols shape"):
+            ops.conv2d_forward(x, w, 1, 1, cols=ops.im2col(x, 3, 1, 0))
+
+    def test_padding_leaves_input_untouched(self):
+        x = np.random.default_rng(2).normal(size=(1, 2, 4, 4))
+        before = x.copy()
+        cols = ops.im2col(x, 3, 1, 1)
+        assert np.array_equal(x, before)
+        assert np.all(cols[:, 0, 0, :, 0, :] == 0.0)  # the top pad row
+
+
 class TestElementwiseLayers:
     def test_relu_values(self):
         assert np.array_equal(ops.relu_forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
