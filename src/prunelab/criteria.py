@@ -9,6 +9,10 @@ Cosine is direction-only: the printed cosine formula is a similarity, so
 the score used here is 1 - similarity, keeping small = similar = prunable.
 A zero filter has no direction; its cosine distance to anything else is
 defined as 1 (maximally non-informative) and flagged via logging.
+
+Distance matrices are symmetric, so Minkowski scoring computes each filter
+pair once (the upper triangle, one row at a time) and mirrors it; the
+result is bit-identical to computing both triangles.
 """
 
 from __future__ import annotations
@@ -82,11 +86,24 @@ def lp_norm_scores(weights: np.ndarray, p: float) -> np.ndarray:
 
 def _pairwise_distance_matrix(z: np.ndarray, criterion: Criterion) -> np.ndarray:
     if criterion.kind == "minkowski":
-        # one row at a time: an (N, D) temporary instead of (N, N, D)
+        # upper triangle one row at a time in one reused (N, D) buffer, then
+        # mirrored: |a - b| == |b - a| exactly, and each pair still reduces a
+        # contiguous length-D row, so the matrix equals the full computation
         p = criterion.p
-        d = np.empty((z.shape[0], z.shape[0]))
-        for i, row in enumerate(z):
-            d[i] = (np.abs(row - z) ** p).sum(axis=1) ** (1.0 / p)
+        n = z.shape[0]
+        d = np.empty((n, n))
+        buf = np.empty(z.shape)
+        for i in range(n - 1):
+            diff = buf[: n - 1 - i]
+            np.subtract(z[i + 1 :], z[i], out=diff)
+            np.abs(diff, out=diff)
+            if p != 1:
+                diff **= p
+            row = diff.sum(axis=1)
+            if p != 1:
+                row **= 1.0 / p
+            d[i, i + 1 :] = row
+            d[i + 1 :, i] = row
     else:  # cosine
         # cosine is invariant to positive per-filter rescaling; dividing each
         # row by its max |entry| keeps the Gram diagonal near 1 so the

@@ -71,6 +71,14 @@ class ExperimentConfig:
         for key in ("batch_size", "eval_batch_size", "n_train", "n_eval", "image_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"config key {key!r} must be >= 1, got {getattr(self, key)}")
+        if not self.lr >= 0:  # lr == 0 is train_epoch's evaluation pass; NaN fails
+            raise ValueError(f"config key 'lr' must be >= 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"config key 'momentum' must be in [0, 1), got {self.momentum}")
+        if not all(0 <= f <= 1 for f in self.decay_at):
+            raise ValueError(
+                f"config key 'decay_at' must be fractions in [0, 1], got {list(self.decay_at)}"
+            )
         if not (self.epochs >= self.interval >= 1):
             raise ValueError(
                 f"need epochs >= interval >= 1 (epochs={self.epochs}, interval={self.interval})"
@@ -87,6 +95,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"arch input_shape {list(arch.input_shape)} does not match the synthetic "
                 f"images {list(synthetic_shape)} (one channel, image_size {self.image_size})"
+            )
+        if self.dataset.startswith("cifar10:") and arch.input_shape != datamod.CIFAR_IMAGE_SHAPE:
+            raise ValueError(
+                f"arch input_shape {list(arch.input_shape)} does not match the CIFAR-10 "
+                f"images {list(datamod.CIFAR_IMAGE_SHAPE)}"
             )
         if self.meta_attribute == "top5_loss" and arch.num_classes < 6:
             raise ValueError("top5_loss needs >= 6 classes")
@@ -203,8 +216,8 @@ def run_experiment(
 
     def prune_step(epoch: int) -> dict | None:
         """Select and apply one criterion's masks; returns the selected
-        trial's model.evaluate result, which now equals the model's, if
-        selection ran one."""
+        trial's model.evaluate result, whose top-1/top-5 are now the
+        model's, if selection ran one."""
         _, masks, record = meta.select_criterion(
             model, eval_x, eval_y, candidates, config.prune_rate,
             config.meta_attribute, rng, step=len(records) + 1, epoch=epoch,

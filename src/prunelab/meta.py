@@ -1,13 +1,15 @@
 """Adaptive criterion selection as a greedy sequential decision process.
 
-At each pruning step every candidate criterion is tried on a throwaway
-masked copy of the current model; the criterion whose meta-attribute gap
-|M(pruned) - M(reference)| is smallest wins and its masks are applied
-softly. Candidates whose masks coincide prune to the same model, so each
-distinct mask set is scored once per step (the `random` attribute still
-draws one value per candidate). By default the reference is the current
-pre-step model; a config switch allows comparing against a frozen initial
-snapshot instead.
+At each pruning step every candidate criterion is tried on a trial model:
+for the top-k losses the compacted model (pruned channels removed; it
+predicts as the masked model does, at a fraction of the cost), for
+`mean_weight` and `sparsity` a throwaway masked copy of the current model.
+The criterion whose meta-attribute gap |M(pruned) - M(reference)| is
+smallest wins and its masks are applied softly. Candidates whose masks
+coincide prune to the same model, so each distinct mask set is scored once
+per step (the `random` attribute still draws one value per candidate). By
+default the reference is the current pre-step model; a config switch allows
+comparing against a frozen initial snapshot instead.
 
 Exactly one criterion is applied per step (one-hot action vector).
 """
@@ -38,8 +40,8 @@ class PruneStepRecord:
     reference_value: float
     masks: list[list[int]]
     attribute: str
-    # model.evaluate of the selected trial when the attribute ran one (top-k
-    # losses), else None; not part of the report
+    # model.evaluate of the selected (compacted) trial when the attribute ran
+    # one (top-k losses), else None; not part of the report
     selected_eval: dict | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -129,14 +131,17 @@ def select_criterion(
     epoch: int = 0,
     reference_model: ModelState | None = None,
 ) -> tuple[Criterion, list[np.ndarray], PruneStepRecord]:
-    """Evaluate every candidate on a masked copy and pick the gap minimizer
-    (ties: earliest in list order). The input model is never mutated.
+    """Score every candidate's trial model and pick the gap minimizer (ties:
+    earliest in list order). The input model is never mutated. The top-k
+    losses score mdl.compact(model, masks); mean_weight and sparsity score a
+    masked copy, since both count weights that compact drops.
 
-    Candidates with identical masks share one masked copy and one score;
+    Candidates with identical masks share one trial and one score;
     `random` scores draw from rng once per candidate all the same. When the
     attribute evaluates the trials, record.selected_eval is the winner's
-    model.evaluate result, which equals evaluating the model once its masks
-    are applied.
+    model.evaluate result. Its top-1 and top-5 match evaluating the model
+    once its masks are applied; its loss can differ in the last bits,
+    because the compacted matrix products are blocked differently.
 
     The gap reference defaults to the current model; pass reference_model to
     compare against a frozen snapshot instead."""
@@ -152,7 +157,10 @@ def select_criterion(
         else:
             key = b"".join(m.tobytes() for m in masks)
             if key not in scored:
-                trial = mdl.apply_mask(model.copy(), masks)
+                if attribute in ("top5_loss", "top1_loss"):
+                    trial = mdl.compact(model, masks)
+                else:
+                    trial = mdl.apply_mask(model.copy(), masks)
                 scored[key] = _attribute_and_eval(trial, eval_x, eval_y, attribute, rng)
             val, stats = scored[key]
         names.append(cand.name)

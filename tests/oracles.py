@@ -1,5 +1,5 @@
-"""Brute-force distance oracles, one pair of filters at a time, for checking
-criteria.average_distance_scores."""
+"""Brute-force distance oracles, one pair of filters (or one row of the
+distance matrix) at a time, for checking criteria.average_distance_scores."""
 
 import logging
 
@@ -16,6 +16,16 @@ def minkowski_distance(x: np.ndarray, y: np.ndarray, p: float) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return float((np.abs(x - y) ** p).sum() ** (1.0 / p))
+
+
+def minkowski_matrix_by_rows(z: np.ndarray, p: float) -> np.ndarray:
+    """Minkowski distances between the rows of z, both triangles: one row
+    against every row at a time, then a zero diagonal."""
+    d = np.empty((z.shape[0], z.shape[0]))
+    for i, row in enumerate(z):
+        d[i] = (np.abs(row - z) ** p).sum(axis=1) ** (1.0 / p)
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def cosine_distance(x: np.ndarray, y: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per acceptance criterion, one printed verdict per run.
 
 The expensive 60-epoch runs (criteria 6, 7, 9) share a module-scoped fixture.
+Those three and the 30-epoch interval sweep (criterion 8) are marked `slow`.
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 """
 
@@ -216,6 +217,7 @@ def test_criterion_5_flops_consistency():
     assert rep.pruned_total == macs
 
 
+@pytest.mark.slow
 def test_criterion_6_greedy_selection_invariant(top5_runs):
     """Every recorded selected gap is minimal; exactly one criterion per step."""
     steps = 0
@@ -229,6 +231,7 @@ def test_criterion_6_greedy_selection_invariant(top5_runs):
     assert steps == len(SEEDS) * 30  # 60 epochs, interval 2
 
 
+@pytest.mark.slow
 def test_criterion_7_meta_attribute_ordering(top5_runs, random_runs):
     """Mean final accuracy with top5_loss >= mean with random selection."""
     top5_acc = [res["reports"][-1].eval_top1 for res in top5_runs.values()]
@@ -240,6 +243,7 @@ def test_criterion_7_meta_attribute_ordering(top5_runs, random_runs):
     assert m_top5 >= m_rand
 
 
+@pytest.mark.slow
 def test_criterion_8_pruning_interval_robustness():
     """Intervals 1, 2, 5, 10 all complete; accuracy spread reported, not asserted."""
     means = {}
@@ -260,6 +264,7 @@ def test_criterion_8_pruning_interval_robustness():
     assert len(means) == 4
 
 
+@pytest.mark.slow
 def test_criterion_9_criterion_timeline_output(top1_runs):
     """CSV selected-criterion timeline shows adaptivity in most seeds."""
     diverse = 0

@@ -84,6 +84,8 @@ class TestExitCodes:
         ({"batch_size": 0}, "batch_size"), ({"eval_batch_size": 0}, "eval_batch_size"),
         ({"n_train": 0}, "n_train"), ({"n_eval": 0}, "n_eval"), ({"image_size": 0}, "image_size"),
         ({"image_size": 8}, "input_shape"),
+        ({"lr": -1.0, "epochs": 1, "interval": 1}, "lr"), ({"momentum": 1.5}, "momentum"),
+        ({"decay_at": [0.5, 1.5]}, "decay_at"), ({"dataset": "cifar10:no-cifar-here"}, "input_shape"),
     ])
     def test_bad_config_value_is_runtime_error(self, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import cosine_distance, minkowski_distance
+from oracles import cosine_distance, minkowski_distance, minkowski_matrix_by_rows
 from prunelab import criteria
 from prunelab.criteria import (
     Criterion,
@@ -110,12 +110,23 @@ class TestAverageDistance:
         with pytest.raises(ValueError, match="not a distance"):
             average_distance_scores(ABC, Criterion("norm", 1))
 
-    def test_minkowski_memory_bounded_on_wide_layer(self):
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+    @pytest.mark.parametrize("n,d", [(3, 7), (5, 1), (8, 9), (16, 144), (33, 1000), (128, 1152)])
+    def test_minkowski_upper_triangle_equals_full_rows(self, n, d, p):
+        z = np.random.default_rng(n * d).normal(size=(n, d))
+        z[1] = 0.0  # a soft-pruned filter
+        z[2] = z[0]  # a duplicated filter
+        got = criteria._pairwise_distance_matrix(z, Criterion("minkowski", p))
+        assert np.array_equal(got, minkowski_matrix_by_rows(z, p))
+        assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_minkowski_memory_bounded_on_wide_layer(self, p):
         # 128 filters of 1152 weights: an (N, N, D) float64 temporary would be 151 MB
         bank = np.random.default_rng(0).normal(size=(128, 128, 3, 3))
         tracemalloc.start()
         try:
-            criterion_scores(bank, Criterion("minkowski", 2))
+            criterion_scores(bank, Criterion("minkowski", p))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

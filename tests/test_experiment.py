@@ -90,7 +90,30 @@ class TestConfig:
         arch["conv_layers"][0]["in_channels"] = 3
         with pytest.raises(ValueError, match="one channel"):
             tiny_config(arch=arch).validate()
+        arch["input_shape"] = [3, 32, 32]
         tiny_config(arch=arch, dataset="cifar10:unused").validate()  # only synthetic is checked
+
+    def test_cifar_input_shape_checked_before_loading(self, tmp_path):
+        missing = tmp_path / "no-cifar-here"
+        with pytest.raises(ValueError, match=r"input_shape \[1, 16, 16\].*CIFAR-10") as exc:
+            run_experiment(ExperimentConfig(dataset=f"cifar10:{missing}"))
+        assert "no-cifar-here" not in str(exc.value)
+        arch = json.loads(json.dumps(TINY_ARCH))
+        arch["input_shape"] = [3, 32, 32]
+        arch["conv_layers"][0]["in_channels"] = 3
+        with pytest.raises(FileNotFoundError):  # a CIFAR-shaped arch gets as far as loading
+            run_experiment(tiny_config(arch=arch, dataset=f"cifar10:{missing}"))
+
+    @pytest.mark.parametrize("key,value", [
+        ("lr", -1.0), ("lr", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
+        ("decay_at", (0.5, 1.5)), ("decay_at", (-0.25, 0.5)),
+    ])
+    def test_training_value_out_of_range_named(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}' must be"):
+            tiny_config(**{key: value}).validate()
+
+    def test_training_value_edges_accepted(self):
+        tiny_config(lr=0.0, momentum=0.0, decay_at=(0.0, 1.0)).validate()
 
     def test_round_trip_dict(self):
         cfg = tiny_config(prune_rate=0.25)

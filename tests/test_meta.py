@@ -205,13 +205,36 @@ class TestDistinctCandidates:
         }
         assert len(distinct) == 2
         calls = self.spy_evaluate(monkeypatch)
+        copies, compacted = [], []  # trials are compacted models, never copies
+        copy, compact = mdl.ModelState.copy, mdl.compact
+        monkeypatch.setattr(mdl.ModelState, "copy", lambda self: copies.append(self) or copy(self))
+        monkeypatch.setattr(
+            mdl, "compact", lambda model, masks: compacted.append(masks) or compact(model, masks)
+        )
         _, masks, record = select_criterion(
             m, ds.eval_x[:24], ds.eval_y[:24], list(DEFAULT_CRITERIA), 0.4, attribute,
             np.random.default_rng(0),
         )
         assert len(calls) == 1 + len(distinct)
+        assert copies == []
+        assert sorted(b"".join(k.tobytes() for k in c) for c in compacted) == sorted(distinct)
         trial = mdl.apply_mask(m.copy(), masks)
         assert record.selected_eval == mdl.evaluate(trial, ds.eval_x[:24], ds.eval_y[:24])
+
+    @pytest.mark.parametrize("attribute", ["mean_weight", "sparsity"])
+    def test_weight_attributes_score_masked_copies(self, tiny_setup, monkeypatch, attribute):
+        # both count weights that compact drops: zeroed filters, and the input
+        # channels that feed from them
+        _, arch = tiny_setup
+        m = build_model(arch, seed=10)
+        monkeypatch.setattr(mdl, "compact", None)
+        _, _, record = select_criterion(
+            m, None, None, list(DEFAULT_CRITERIA), 0.4, attribute, np.random.default_rng(0)
+        )
+        assert record.candidate_values == [
+            meta_attribute(mdl.apply_mask(m.copy(), candidate_prune(m, c, 0.4)), None, None, attribute)
+            for c in DEFAULT_CRITERIA
+        ]
 
     def test_shared_scores_equal_separate_scores(self, tiny_setup):
         ds, arch = tiny_setup
