@@ -71,8 +71,10 @@ class ExperimentConfig:
         for key in ("batch_size", "eval_batch_size", "n_train", "n_eval", "image_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"config key {key!r} must be >= 1, got {getattr(self, key)}")
-        if not self.lr >= 0:  # lr == 0 is train_epoch's evaluation pass; NaN fails
-            raise ValueError(f"config key 'lr' must be >= 0, got {self.lr}")
+        # lr == 0 is train_epoch's evaluation pass; NaN fails
+        for key in ("lr", "decay_factor", "weight_decay"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"config key {key!r} must be >= 0, got {getattr(self, key)}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"config key 'momentum' must be in [0, 1), got {self.momentum}")
         if not all(0 <= f <= 1 for f in self.decay_at):
@@ -199,6 +201,8 @@ def run_experiment(
     config.validate()
     t0 = time.perf_counter()
     dataset = load_dataset(config)
+    if len(dataset.eval_x) == 0:  # fail before any training, not at the first evaluation
+        raise ValueError(f"dataset {config.dataset!r} has an empty evaluation set")
     model = mdl.build_model(config.architecture(), seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
 

@@ -1,15 +1,14 @@
 """Adaptive criterion selection as a greedy sequential decision process.
 
-At each pruning step every candidate criterion is tried on a trial model:
-for the top-k losses the compacted model (pruned channels removed; it
-predicts as the masked model does, at a fraction of the cost), for
-`mean_weight` and `sparsity` a throwaway masked copy of the current model.
-The criterion whose meta-attribute gap |M(pruned) - M(reference)| is
-smallest wins and its masks are applied softly. Candidates whose masks
-coincide prune to the same model, so each distinct mask set is scored once
-per step (the `random` attribute still draws one value per candidate). By
-default the reference is the current pre-step model; a config switch allows
-comparing against a frozen initial snapshot instead.
+At each pruning step every candidate criterion proposes masks, and the
+network they would leave is scored from the current weights and the masks
+alone, with no trial copy (see _attribute_and_eval). The criterion whose
+meta-attribute gap |M(pruned) - M(reference)| is smallest wins and its
+masks are applied softly. Candidates whose masks coincide prune to the same
+model, so each distinct mask set is scored once per step (the `random`
+attribute still draws one value per candidate). By default the reference is
+the current pre-step model; a config switch allows comparing against a
+frozen initial snapshot instead.
 
 Exactly one criterion is applied per step (one-hot action vector).
 """
@@ -70,17 +69,22 @@ def meta_attribute(
     rng: np.random.Generator | None = None,
 ) -> float:
     """Scalar characterization of a network used for pruned-vs-original gaps."""
-    return _attribute_and_eval(model, eval_x, eval_y, attribute, rng)[0]
+    return _attribute_and_eval(model, None, eval_x, eval_y, attribute, rng)[0]
 
 
 def _attribute_and_eval(
     model: ModelState,
+    masks: list[np.ndarray] | None,
     eval_x: np.ndarray | None,
     eval_y: np.ndarray | None,
     attribute: str,
     rng: np.random.Generator | None,
 ) -> tuple[float, dict | None]:
-    """meta_attribute plus the model.evaluate result it came from, if any."""
+    """meta_attribute of model once masks are applied (None: the model as it
+    is), plus the model.evaluate result it came from, if any. The model is
+    not copied: the top-k losses evaluate mdl.compact(model, masks), and the
+    weight attributes read each layer through its mask, which holds the same
+    values as the masked model's weights."""
     if attribute not in META_ATTRIBUTES:
         raise ValueError(f"unknown meta-attribute {attribute!r}, expected one of {META_ATTRIBUTES}")
     if attribute in ("top5_loss", "top1_loss"):
@@ -91,18 +95,20 @@ def _attribute_and_eval(
                 f"top5_loss is degenerate with {model.arch.num_classes} classes "
                 "(top-5 accuracy is always 1.0 when classes <= 5)"
             )
-        stats = mdl.evaluate(model, eval_x, eval_y)
-        return 1.0 - (stats["top5"] if attribute == "top5_loss" else stats["top1"]), stats
+        trial = model if masks is None else mdl.compact(model, masks)
+        stats = mdl.evaluate(trial, eval_x, eval_y)
+        return 1.0 - stats["top5" if attribute == "top5_loss" else "top1"], stats
+    if attribute == "random":  # seeded uniform baseline, no model information
+        if rng is None:
+            raise ValueError("random meta-attribute needs an rng")
+        return float(rng.uniform()), None
+    weights = model.conv_weights
+    if masks is not None:
+        weights = [np.where(keep[:, None, None, None], w, 0.0) for w, keep in zip(weights, masks)]
     if attribute == "mean_weight":
-        total = sum(w.sum() for w in model.conv_weights)
-        count = sum(w.size for w in model.conv_weights)
-        return float(total / count), None
-    if attribute == "sparsity":
-        return float(model.nonzero_filter_count()), None
-    # random: seeded uniform baseline, no model information
-    if rng is None:
-        raise ValueError("random meta-attribute needs an rng")
-    return float(rng.uniform()), None
+        return float(sum(w.sum() for w in weights) / sum(w.size for w in weights)), None
+    # sparsity: ModelState.nonzero_filter_count of the masked weights
+    return float(sum(int(np.any(w != 0, axis=(1, 2, 3)).sum()) for w in weights)), None
 
 
 def candidate_prune(model: ModelState, criterion: Criterion, rate: float) -> list[np.ndarray]:
@@ -131,43 +137,33 @@ def select_criterion(
     epoch: int = 0,
     reference_model: ModelState | None = None,
 ) -> tuple[Criterion, list[np.ndarray], PruneStepRecord]:
-    """Score every candidate's trial model and pick the gap minimizer (ties:
-    earliest in list order). The input model is never mutated. The top-k
-    losses score mdl.compact(model, masks); mean_weight and sparsity score a
-    masked copy, since both count weights that compact drops.
+    """Score every candidate's pruned network and pick the gap minimizer
+    (ties: earliest in list order). The input model is never mutated, and
+    no candidate is scored on a copy of it (see _attribute_and_eval).
 
-    Candidates with identical masks share one trial and one score;
-    `random` scores draw from rng once per candidate all the same. When the
-    attribute evaluates the trials, record.selected_eval is the winner's
-    model.evaluate result. Its top-1 and top-5 match evaluating the model
-    once its masks are applied; its loss can differ in the last bits,
-    because the compacted matrix products are blocked differently.
+    Candidates with identical masks share one score; `random` scores draw
+    from rng once per candidate all the same. When the attribute evaluates
+    the candidates, record.selected_eval is the winner's model.evaluate
+    result. Its top-1 and top-5 match evaluating the model once its masks
+    are applied; its loss can differ in the last bits, because the
+    compacted matrix products are blocked differently.
 
     The gap reference defaults to the current model; pass reference_model to
     compare against a frozen snapshot instead."""
     if not candidates:
         raise ValueError("candidate list is empty")
     ref = meta_attribute(reference_model or model, eval_x, eval_y, attribute, rng)
-    names, values, gaps, all_masks, evals = [], [], [], [], []
-    scored: dict[bytes, tuple[float, dict | None]] = {}  # mask bytes -> trial score
+    scored: dict[bytes, tuple[float, dict | None]] = {}  # mask bytes -> score
+    all_masks, results = [], []
     for cand in candidates:
         masks = candidate_prune(model, cand, rate)
-        if attribute == "random":  # no model information: one draw per candidate
-            val, stats = float(rng.uniform()), None
-        else:
-            key = b"".join(m.tobytes() for m in masks)
-            if key not in scored:
-                if attribute in ("top5_loss", "top1_loss"):
-                    trial = mdl.compact(model, masks)
-                else:
-                    trial = mdl.apply_mask(model.copy(), masks)
-                scored[key] = _attribute_and_eval(trial, eval_x, eval_y, attribute, rng)
-            val, stats = scored[key]
-        names.append(cand.name)
-        values.append(val)
-        gaps.append(abs(val - ref))
+        key = b"".join(m.tobytes() for m in masks)
+        if attribute == "random" or key not in scored:  # random: one draw per candidate
+            scored[key] = _attribute_and_eval(model, masks, eval_x, eval_y, attribute, rng)
         all_masks.append(masks)
-        evals.append(stats)
+        results.append(scored[key])
+    values = [v for v, _ in results]
+    gaps = [abs(v - ref) for v in values]
     if attribute == "random":
         pick = int(rng.integers(len(candidates)))
     else:
@@ -178,15 +174,14 @@ def select_criterion(
     record = PruneStepRecord(
         step=step,
         epoch=epoch,
-        candidate_names=names,
-        candidate_values=[float(v) for v in values],
-        candidate_gaps=[float(g) for g in gaps],
-        selected=names[pick],
+        candidate_names=[cand.name for cand in candidates],
+        candidate_values=values,
+        candidate_gaps=gaps,
+        selected=candidates[pick].name,
         action=action,
-        reference_value=float(ref),
+        reference_value=ref,
         masks=[m.astype(int).tolist() for m in all_masks[pick]],
         attribute=attribute,
-        selected_eval=evals[pick],
+        selected_eval=results[pick][1],
     )
     return candidates[pick], all_masks[pick], record
-

@@ -14,11 +14,18 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import ops
+
+
+def _check_int(name: str, value) -> None:
+    """ValueError naming the arch field unless value is an integer (a bool is not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"arch field {name!r} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,8 @@ class ConvSpec:
     pad: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_int(f.name, getattr(self, f.name))
         if min(self.in_channels, self.out_channels, self.kernel, self.stride) < 1:
             raise ValueError(f"conv dims must be >= 1: {self}")
         if self.pad < 0:
@@ -43,6 +52,12 @@ class Architecture:
     num_classes: int
 
     def __post_init__(self):
+        shape = list(self.input_shape)
+        for dim in shape:
+            _check_int("input_shape", dim)
+        if len(shape) != 3 or min(shape) < 1:
+            raise ValueError(f"arch field 'input_shape' must be 3 dims (C, H, W) >= 1, got {shape}")
+        _check_int("num_classes", self.num_classes)
         if len(self.conv_layers) < 1:
             raise ValueError("architecture needs at least one conv layer")
         if self.conv_layers[0].in_channels != self.input_shape[0]:

@@ -9,8 +9,8 @@ that runs forward and backward on the same input can build it once with
 im2col and hand it to both as `cols`; the results are bit-identical to
 building it inside each call, and the patch matrix is only read.
 
-Shapes follow the (batch, channels, height, width) layout. The single-image
-variants accept (C, H, W) and add/strip the batch axis internally.
+Conv inputs are batches in the (batch, channels, height, width) layout; a
+single image is a batch of one.
 """
 
 from __future__ import annotations
@@ -46,12 +46,6 @@ def _check_conv_shapes(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> N
         )
 
 
-def _as_batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    if x.ndim == 3:
-        return x[None], True
-    return x, False
-
-
 def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
     """(B, C, H, W) -> (B, H', W', C, K, K) patch matrix (a contiguous copy)."""
     if pad > 0:
@@ -65,15 +59,15 @@ def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
 
 
 def _patch_matrix(
-    xb: np.ndarray, w: np.ndarray, stride: int, pad: int, cols: np.ndarray | None
+    x: np.ndarray, w: np.ndarray, stride: int, pad: int, cols: np.ndarray | None
 ) -> np.ndarray:
     """The caller's patch matrix after a shape check, or a freshly built one."""
     k = w.shape[2]
     if cols is None:
-        return im2col(xb, k, stride, pad)
-    oh = conv_out_size(xb.shape[2], k, stride, pad)
-    ow = conv_out_size(xb.shape[3], k, stride, pad)
-    expect = (xb.shape[0], oh, ow, xb.shape[1], k, k)
+        return im2col(x, k, stride, pad)
+    oh = conv_out_size(x.shape[2], k, stride, pad)
+    ow = conv_out_size(x.shape[3], k, stride, pad)
+    expect = (x.shape[0], oh, ow, x.shape[1], k, k)
     if cols.shape != expect:
         raise ValueError(f"cols shape {cols.shape} does not match patch matrix {expect}")
     return cols
@@ -84,17 +78,16 @@ def conv2d_forward(
 ) -> np.ndarray:
     """Cross-correlate input with a filter bank.
 
-    x: (C_in, H, W) or (B, C_in, H, W); w: (C_out, C_in, K, K).
-    cols: optional im2col(x, K, stride, pad) of the batched input.
+    x: (B, C_in, H, W); w: (C_out, C_in, K, K).
+    cols: optional im2col(x, K, stride, pad).
     """
-    xb, squeeze = _as_batched(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    _check_conv_shapes(xb, w, stride, pad)
-    cols = _patch_matrix(xb, w, stride, pad, cols)
+    _check_conv_shapes(x, w, stride, pad)
+    cols = _patch_matrix(x, w, stride, pad, cols)
     b, oh, ow = cols.shape[:3]
     out = cols.reshape(b * oh * ow, -1) @ w.reshape(w.shape[0], -1).T
-    out = out.reshape(b, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
-    return out[0] if squeeze else out
+    return out.reshape(b, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
 
 
 def conv2d_backward(
@@ -109,50 +102,47 @@ def conv2d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of sum(grad_out * conv2d_forward(x, w)) w.r.t. x and w.
 
-    cols: optional im2col(x, K, stride, pad) of the batched input. With
-    grad_input=False the input gradient is not computed and comes back None.
+    cols: optional im2col(x, K, stride, pad). With grad_input=False the
+    input gradient is not computed and comes back None.
     """
-    xb, squeeze = _as_batched(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    gb, _ = _as_batched(np.asarray(grad_out, dtype=np.float64))
-    _check_conv_shapes(xb, w, stride, pad)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    _check_conv_shapes(x, w, stride, pad)
     k = w.shape[2]
-    oh = conv_out_size(xb.shape[2], k, stride, pad)
-    ow = conv_out_size(xb.shape[3], k, stride, pad)
-    expect = (xb.shape[0], w.shape[0], oh, ow)
-    if gb.shape != expect:
-        raise ValueError(f"grad_out shape {gb.shape} does not match conv output {expect}")
+    oh = conv_out_size(x.shape[2], k, stride, pad)
+    ow = conv_out_size(x.shape[3], k, stride, pad)
+    expect = (x.shape[0], w.shape[0], oh, ow)
+    if grad_out.shape != expect:
+        raise ValueError(f"grad_out shape {grad_out.shape} does not match conv output {expect}")
 
-    cols = _patch_matrix(xb, w, stride, pad, cols)  # (B, H', W', C, K, K)
-    g2 = gb.transpose(0, 2, 3, 1).reshape(-1, w.shape[0])  # (B*H'*W', C_out)
+    cols = _patch_matrix(x, w, stride, pad, cols)  # (B, H', W', C, K, K)
+    g2 = grad_out.transpose(0, 2, 3, 1).reshape(-1, w.shape[0])  # (B*H'*W', C_out)
     grad_w = (g2.T @ cols.reshape(g2.shape[0], -1)).reshape(w.shape)
     if not grad_input:
         return None, grad_w
 
     # scatter grad back: dcols = g @ w, then col2im into a channel-last
     # buffer, adding the (i, j) terms in the same order as a channel-first one
-    b, c, h, wd = xb.shape
+    b, c, h, wd = x.shape
     dcols = (g2 @ w.reshape(w.shape[0], -1)).reshape(b, oh, ow, c, k, k)
     grad_xp = np.zeros((b, h + 2 * pad, wd + 2 * pad, c))
     for i in range(k):
         for j in range(k):
             grad_xp[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += dcols[..., i, j]
-    grad_x = grad_xp[:, pad : pad + h, pad : pad + wd].transpose(0, 3, 1, 2)
-    if squeeze:
-        grad_x = grad_x[0]
-    return grad_x, grad_w
+    return grad_xp[:, pad : pad + h, pad : pad + wd].transpose(0, 3, 1, 2), grad_w
 
 
 def conv2d_reference(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Naive 6-nested-loop convolution, the correctness oracle for conv2d_forward."""
-    xb, squeeze = _as_batched(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    _check_conv_shapes(xb, w, stride, pad)
-    b, c_in, h, wd = xb.shape
+    _check_conv_shapes(x, w, stride, pad)
+    b, c_in, h, wd = x.shape
     c_out, _, k, _ = w.shape
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(wd, k, stride, pad)
-    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     out = np.zeros((b, c_out, oh, ow))
     for n in range(b):
         for co in range(c_out):
@@ -167,7 +157,7 @@ def conv2d_reference(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0
                                     * w[co, ci, ky, kx]
                                 )
                     out[n, co, oy, ox] = acc
-    return out[0] if squeeze else out
+    return out
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import rewrite_header
+from prunelab import flops
 from prunelab.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -117,3 +123,71 @@ class TestHeaderMasks:
         rewrite_header(saved, lambda h: h["masks"][0].__setitem__(0, 2))
         with pytest.raises(CheckpointError, match="mask 0"):
             load_checkpoint(saved)
+
+
+class TestHeaderArch:
+    @pytest.fixture
+    def saved(self, model, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(model, p)
+        return p
+
+    @pytest.mark.parametrize("field,value", [
+        ("kernel", 3.0), ("stride", True), ("out_channels", "4"), ("pad", None),
+    ])
+    def test_non_integer_conv_field_named(self, saved, field, value):
+        rewrite_header(saved, lambda h: h["arch"]["conv_layers"][0].__setitem__(field, value))
+        with pytest.raises(CheckpointError, match=f"'{field}' must be an integer"):
+            load_checkpoint(saved)
+
+    @pytest.mark.parametrize("shape", [[1], [1, 6], [1, 6, 6, 6], [1, 6, 0], [1, 6.0, 6], [1, True, 6]])
+    def test_bad_input_shape_named(self, saved, shape):
+        rewrite_header(saved, lambda h: h["arch"].__setitem__("input_shape", shape))
+        with pytest.raises(CheckpointError, match="input_shape"):
+            load_checkpoint(saved)
+
+    def test_non_integer_num_classes_named(self, saved):
+        rewrite_header(saved, lambda h: h["arch"].__setitem__("num_classes", 6.0))
+        with pytest.raises(CheckpointError, match="'num_classes' must be an integer"):
+            load_checkpoint(saved)
+
+
+def small_checkpoint_bytes() -> bytes:
+    arch = Architecture((1, 6, 6), (ConvSpec(1, 2, 3, 1, 1), ConvSpec(2, 3, 3, 2, 1)), num_classes=2)
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.ckpt"
+        save_checkpoint(build_model(arch, seed=0), p)
+        return p.read_bytes()
+
+
+SMALL = small_checkpoint_bytes()
+HEADER_END = 12 + int(np.frombuffer(SMALL[8:12], dtype="<u4")[0])
+# replacing this byte with "0" turns the input shape [1,6,6] into [1,606]
+SHAPE_COMMA = SMALL.index(b'"input_shape":[1,6,6]') + len(b'"input_shape":[1,6')
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, len(SMALL) - 1)),
+        # the header and the first weights
+        st.tuples(st.just("replace"), st.integers(0, HEADER_END + 16), st.integers(0, 255)),
+    )
+)
+@example(("replace", SHAPE_COMMA, ord("0")))
+def test_corrupted_checkpoint_loads_or_is_rejected(edit):
+    """Any one-byte replacement or truncation either loads a model that
+    flops.model_flops accepts or raises ValueError (CheckpointError is one)."""
+    raw = bytearray(SMALL)
+    if edit[0] == "truncate":
+        raw = raw[: edit[1]]
+    else:
+        raw[edit[1]] = edit[2]
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.ckpt"
+        p.write_bytes(bytes(raw))
+        try:
+            loaded, _ = load_checkpoint(p)
+            flops.model_flops(loaded, loaded.masks)
+        except ValueError:
+            pass

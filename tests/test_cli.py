@@ -86,6 +86,8 @@ class TestExitCodes:
         ({"image_size": 8}, "input_shape"),
         ({"lr": -1.0, "epochs": 1, "interval": 1}, "lr"), ({"momentum": 1.5}, "momentum"),
         ({"decay_at": [0.5, 1.5]}, "decay_at"), ({"dataset": "cifar10:no-cifar-here"}, "input_shape"),
+        ({"decay_factor": -1.0, "decay_at": [0.0, 0.5]}, "decay_factor"),
+        ({"weight_decay": float("nan")}, "weight_decay"),
     ])
     def test_bad_config_value_is_runtime_error(self, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"
@@ -93,6 +95,28 @@ class TestExitCodes:
         res = run_cli("train", "--config", path, "--out-dir", tmp_path / "run")
         assert res.returncode == 1
         assert "error:" in res.stderr and key in res.stderr and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("key,value", [("kernel", 3.0), ("stride", True)])
+    def test_non_integer_arch_field_is_runtime_error(self, tmp_path, key, value):
+        arch = json.loads(json.dumps(ExperimentConfig().arch))
+        arch["conv_layers"][0][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"arch": arch}))
+        res = run_cli("train", "--config", path, "--out-dir", tmp_path / "run")
+        assert res.returncode == 1
+        assert "error:" in res.stderr and key in res.stderr and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", ["flops", "analyze"])
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["arch"]["conv_layers"][0].__setitem__("kernel", 1.0),
+        lambda h: h["arch"]["conv_layers"][0].__setitem__("stride", True),
+        lambda h: h["arch"].__setitem__("input_shape", [3]),
+    ], ids=["kernel", "stride", "input_shape"])
+    def test_malformed_header_arch_is_runtime_error(self, abc_checkpoint, command, edit):
+        rewrite_header(abc_checkpoint, edit)
+        res = run_cli(command, abc_checkpoint)
+        assert res.returncode == 1
+        assert "error:" in res.stderr and "Traceback" not in res.stderr
 
     def test_empty_eval_split_is_runtime_error(self, tmp_path):
         # a single CIFAR .bin file gives a training split and no eval split

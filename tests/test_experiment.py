@@ -72,6 +72,18 @@ class TestConfig:
     def test_malformed_arch_named(self):
         with pytest.raises(ValueError, match="arch is missing key 'conv_layers'"):
             ExperimentConfig.from_dict({"arch": {"input_shape": [1, 8, 8]}}).validate()
+        for layer, key, value in [
+            (0, "kernel", 3.0), (1, "stride", True), (0, "out_channels", "5"), (1, "pad", 0.5),
+        ]:
+            arch = json.loads(json.dumps(TINY_ARCH))
+            arch["conv_layers"][layer][key] = value
+            with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+                ExperimentConfig.from_dict({"arch": arch}).validate()
+        for shape in ([1], [1, 8], [1, 8, 8, 8], [1, 8, 0], [1, 8.0, 8], [1, 8, False]):
+            arch = json.loads(json.dumps(TINY_ARCH))
+            arch["input_shape"] = shape
+            with pytest.raises(ValueError, match="'input_shape'"):
+                ExperimentConfig.from_dict({"arch": arch}).validate()
 
     @pytest.mark.parametrize("key", ["batch_size", "eval_batch_size", "n_train", "n_eval", "image_size"])
     def test_size_below_one_named(self, key, monkeypatch):
@@ -107,6 +119,8 @@ class TestConfig:
     @pytest.mark.parametrize("key,value", [
         ("lr", -1.0), ("lr", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
         ("decay_at", (0.5, 1.5)), ("decay_at", (-0.25, 0.5)),
+        ("decay_factor", -1.0), ("decay_factor", float("nan")),
+        ("weight_decay", -5e-4), ("weight_decay", float("nan")),
     ])
     def test_training_value_out_of_range_named(self, key, value):
         with pytest.raises(ValueError, match=f"'{key}' must be"):
@@ -132,6 +146,23 @@ class TestConfig:
 
 
 class TestRunExperiment:
+    def test_empty_eval_split_fails_before_training(self, tmp_path, monkeypatch):
+        # a single CIFAR .bin file gives a training split and no eval split
+        records = np.random.default_rng(0).integers(
+            0, 10, size=(4, datamod.CIFAR_RECORD_BYTES), dtype=np.uint8
+        )
+        (tmp_path / "one.bin").write_bytes(records.tobytes())
+        arch = json.loads(json.dumps(TINY_ARCH))
+        arch["input_shape"] = [3, 32, 32]
+        arch["conv_layers"][0]["in_channels"] = 3
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the eval split was checked")
+
+        monkeypatch.setattr(mdl, "train_epoch", no_training)
+        with pytest.raises(ValueError, match="empty evaluation set"):
+            run_experiment(tiny_config(arch=arch, dataset=f"cifar10:{tmp_path / 'one.bin'}"))
+
     def test_rate_zero_keeps_full_flops(self, tmp_path):
         res = run_experiment(tiny_config(prune_rate=0.0), out_dir=tmp_path)
         fl = res["flops"]
@@ -185,6 +216,19 @@ class TestGoldenBytes:
             "e812bccc98e5b638bed0136d6b9eeeb8b9b036bc062e79bf77057598ea736c82",
             "9075d9d2c25a565de292eaef0ed629e63fb1be11e394caf7b815dc304df802a2",
             "84c8202dbda0d158d59f700c07cb52070c1d51237620688fb13c4630919e1f8f",
+        ),
+        # the weight attributes against the current (not the initial) model
+        "sparsity": (
+            dict(epochs=6, interval=1, meta_attribute="sparsity"),
+            "aae407f1b2136003830d6a010bb599c3f497afced2735bd0f1fd7431be1ffe54",
+            "cb1ff3b3fca10744433d7287b82cb9d3cc27c1a617ac2566d85a7aa7463d8421",
+            "580b39b2576782c35fafb0da4ca0101489bba2811ea2207fd6c4b9c41c7ac962",
+        ),
+        "mean_weight_current": (
+            dict(seed=2, epochs=6, interval=1, meta_attribute="mean_weight"),
+            "fb1ddc0b4044bd8063f118b8b43f8d7d00f75c95779c9b5f4afddf090532d777",
+            "34ea0ed235c6fed75381f6ad54e9bf774e3c8c84c72ab68b46a7482c38e7600f",
+            "27f677ed9a933710b75fd4174ccf07ea7de82e65a449d567add30b3c2ee06747",
         ),
     }
 

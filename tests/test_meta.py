@@ -236,6 +236,23 @@ class TestDistinctCandidates:
             for c in DEFAULT_CRITERIA
         ]
 
+    @pytest.mark.parametrize("attribute", meta.META_ATTRIBUTES)
+    def test_no_model_copies(self, tiny_setup, monkeypatch, attribute):
+        # each attribute reads the weights and masks, or a compacted model
+        ds, arch = tiny_setup
+        m = build_model(arch, seed=10)
+        copies, masked = [], []
+        copy, apply_mask = mdl.ModelState.copy, mdl.apply_mask
+        monkeypatch.setattr(mdl.ModelState, "copy", lambda self: copies.append(self) or copy(self))
+        monkeypatch.setattr(
+            mdl, "apply_mask", lambda model, masks: masked.append(masks) or apply_mask(model, masks)
+        )
+        select_criterion(
+            m, ds.eval_x[:24], ds.eval_y[:24], list(DEFAULT_CRITERIA), 0.4, attribute,
+            np.random.default_rng(0),
+        )
+        assert copies == [] and masked == []
+
     def test_shared_scores_equal_separate_scores(self, tiny_setup):
         ds, arch = tiny_setup
         m = build_model(arch, seed=10)

@@ -10,31 +10,31 @@ from prunelab import ops
 
 class TestConvForward:
     def test_all_ones_3x3(self):
-        x = np.ones((1, 3, 3))
+        x = np.ones((1, 1, 3, 3))
         w = np.ones((1, 1, 3, 3))
         out = ops.conv2d_forward(x, w, stride=1, pad=0)
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 9.0
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 9.0
 
     def test_zero_filter_gives_zero_channel(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 5, 5))
+        x = rng.normal(size=(1, 2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
         w[1] = 0.0
         out = ops.conv2d_forward(x, w, stride=1, pad=1)
-        assert np.all(out[1] == 0.0)
-        assert np.any(out[0] != 0.0)
+        assert np.all(out[0, 1] == 0.0)
+        assert np.any(out[0, 0] != 0.0)
 
     def test_output_spatial_size(self):
-        x = np.zeros((1, 7, 9))
+        x = np.zeros((1, 1, 7, 9))
         w = np.zeros((2, 1, 3, 3))
         out = ops.conv2d_forward(x, w, stride=2, pad=1)
-        assert out.shape == (2, 4, 5)
+        assert out.shape == (1, 2, 4, 5)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_naive_loop_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(2, 5, 5))
+        x = rng.normal(size=(1, 2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
         fast = ops.conv2d_forward(x, w, stride=1, pad=1)
         slow = ops.conv2d_reference(x, w, stride=1, pad=1)
@@ -51,7 +51,7 @@ class TestConvForward:
 
     def test_channel_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"3.*channels.*expect 2|mismatch"):
-            ops.conv2d_forward(np.zeros((3, 4, 4)), np.zeros((1, 2, 3, 3)))
+            ops.conv2d_forward(np.zeros((1, 3, 4, 4)), np.zeros((1, 2, 3, 3)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -62,34 +62,49 @@ class TestConvForward:
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, w: ops.conv2d_forward(x, w, 1, 1),
+        lambda x, w: ops.conv2d_backward(x, w, np.zeros((3, 4, 4)), 1, 1),
+        lambda x, w: ops.conv2d_reference(x, w, 1, 1),
+    ],
+    ids=["forward", "backward", "reference"],
+)
+def test_single_image_input_rejected(call):
+    # the conv ops take batches only; a single image is a batch of one
+    with pytest.raises(ValueError, match="4-d input"):
+        call(np.zeros((2, 4, 4)), np.zeros((3, 2, 3, 3)))
+
+
 class TestConvBackward:
     def test_zero_grad_out(self):
-        x = np.ones((2, 4, 4))
+        x = np.ones((1, 2, 4, 4))
         w = np.ones((3, 2, 3, 3))
-        g = np.zeros((3, 4, 4))
+        g = np.zeros((1, 3, 4, 4))
         gx, gw = ops.conv2d_backward(x, w, g, stride=1, pad=1)
         assert np.all(gx == 0) and np.all(gw == 0)
 
     def test_scalar_chain_rule(self):
-        x = np.array([[[2.0]]])
+        x = np.array([[[[2.0]]]])
         w = np.array([[[[3.0]]]])
-        g = np.array([[[5.0]]])
+        g = np.array([[[[5.0]]]])
         gx, gw = ops.conv2d_backward(x, w, g, stride=1, pad=0)
         assert gw[0, 0, 0, 0] == 5.0 * 2.0
-        assert gx[0, 0, 0] == 5.0 * 3.0
+        assert gx[0, 0, 0, 0] == 5.0 * 3.0
 
     def test_grad_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="grad_out"):
             ops.conv2d_backward(
-                np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros((2, 9, 9)), 1, 1
+                np.zeros((1, 1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros((1, 2, 9, 9)), 1, 1
             )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(2, 4, 4))
+        x = rng.normal(size=(1, 2, 4, 4))
         w = rng.normal(size=(3, 2, 3, 3))
-        g = rng.normal(size=(3, 4, 4))
+        g = rng.normal(size=(1, 3, 4, 4))
         gx, gw = ops.conv2d_backward(x, w, g, stride=1, pad=1)
 
         def f_x(t):
