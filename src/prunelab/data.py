@@ -17,6 +17,7 @@ import numpy as np
 
 CIFAR_RECORD_BYTES = 3073
 CIFAR_IMAGE_SHAPE = (3, 32, 32)
+CIFAR_CLASSES = 10
 
 
 @dataclass
@@ -80,8 +81,8 @@ def _read_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
         )
     records = raw.reshape(-1, CIFAR_RECORD_BYTES)
     labels = records[:, 0].astype(np.int64)
-    if labels.max() > 9:
-        raise ValueError(f"{path}: label byte {labels.max()} outside [0, 9]")
+    if labels.max() >= CIFAR_CLASSES:
+        raise ValueError(f"{path}: label byte {labels.max()} outside [0, {CIFAR_CLASSES - 1}]")
     images = records[:, 1:].reshape(-1, *CIFAR_IMAGE_SHAPE).astype(np.float64) / 255.0
     return images, labels
 
@@ -116,7 +117,7 @@ def load_cifar10_binary(path: str | Path) -> Dataset:
         train_y=train_y,
         eval_x=norm(eval_x) if len(eval_x) else eval_x,
         eval_y=eval_y,
-        num_classes=10,
+        num_classes=CIFAR_CLASSES,
         metadata={
             "kind": "cifar10",
             "normalize_mean": mean.tolist(),

@@ -103,6 +103,11 @@ class ExperimentConfig:
                 f"arch input_shape {list(arch.input_shape)} does not match the CIFAR-10 "
                 f"images {list(datamod.CIFAR_IMAGE_SHAPE)}"
             )
+        if self.dataset.startswith("cifar10:") and arch.num_classes < datamod.CIFAR_CLASSES:
+            raise ValueError(
+                f"arch num_classes {arch.num_classes} is below the "
+                f"{datamod.CIFAR_CLASSES} CIFAR-10 classes"
+            )
         if self.meta_attribute == "top5_loss" and arch.num_classes < 6:
             raise ValueError("top5_loss needs >= 6 classes")
         for name in self.criteria:

@@ -9,16 +9,23 @@ that runs forward and backward on the same input can build it once with
 im2col and hand it to both as `cols`; the results are bit-identical to
 building it inside each call, and the patch matrix is only read.
 
+im2col builds the patch matrix with one gather: the input is copied
+channel-last into a flat row per image with one extra 0.0 slot at the end,
+and a cached index (one per input shape, kernel, stride and pad) picks each
+patch entry from it, every padding tap from the zero slot. The gather only
+moves values, so the patch matrix, and every GEMM and artifact built on it,
+is bit-identical to slicing a zero-padded input window by window.
+
 Conv inputs are batches in the (batch, channels, height, width) layout; a
 single image is a batch of one.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -46,16 +53,36 @@ def _check_conv_shapes(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> N
         )
 
 
+@lru_cache(maxsize=64)
+def _gather_index(c: int, h: int, w: int, kernel: int, stride: int, pad: int) -> np.ndarray:
+    """Read-only flat index of im2col's gather: entry (y, x, ch, i, j) points
+    at pixel (y*stride + i - pad, x*stride + j - pad) of channel ch in a
+    channel-last (H, W, C) row, or at the zero slot h*w*c when that is padding."""
+    oh = conv_out_size(h, kernel, stride, pad)
+    ow = conv_out_size(w, kernel, stride, pad)
+    taps = np.arange(kernel)
+    rows = (np.arange(oh) * stride - pad)[:, None, None, None, None] + taps[:, None]
+    cols = (np.arange(ow) * stride - pad)[None, :, None, None, None] + taps
+    channel = np.arange(c)[:, None, None]
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    idx = np.where(inside, (rows * w + cols) * c + channel, h * w * c).astype(np.intp).ravel()
+    idx.flags.writeable = False
+    return idx
+
+
 def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, H', W', C, K, K) patch matrix (a contiguous copy)."""
-    if pad > 0:
-        b, c, h, w = x.shape
-        padded = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
-        padded[:, :, pad : pad + h, pad : pad + w] = x
-        x = padded
-    win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (B, C, H', W', K, K)
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+    """(B, C, H, W) -> (B, H', W', C, K, K) patch matrix, a fresh C-contiguous
+    float64 array: one take through _gather_index from the channel-last copy
+    of x plus a zero slot (see the module docstring)."""
+    b, c, h, w = x.shape
+    n = h * w * c
+    flat = np.empty((b, n + 1))
+    flat[:, :n].reshape(b, h, w, c)[...] = x.transpose(0, 2, 3, 1)  # a view: splits each row
+    flat[:, n] = 0.0
+    oh = conv_out_size(h, kernel, stride, pad)
+    ow = conv_out_size(w, kernel, stride, pad)
+    idx = _gather_index(c, h, w, kernel, stride, pad)
+    return flat.take(idx, axis=1).reshape(b, oh, ow, c, kernel, kernel)
 
 
 def _patch_matrix(

@@ -1,9 +1,11 @@
-"""Brute-force distance oracles, one pair of filters (or one row of the
-distance matrix) at a time, for checking criteria.average_distance_scores."""
+"""Test oracles: brute-force distances, one pair of filters (or one row of
+the distance matrix) at a time, for checking criteria.average_distance_scores,
+and the window-by-window patch matrix for checking ops.im2col."""
 
 import logging
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 log = logging.getLogger(__name__)
 
@@ -39,3 +41,15 @@ def cosine_distance(x: np.ndarray, y: np.ndarray) -> float:
         log.warning("cosine distance on a zero-norm vector; returning 1.0")
         return 1.0
     return float(np.clip(1.0 - float(x @ y) / (nx * ny), 0.0, 2.0))
+
+
+def im2col_by_windows(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
+    """(B, C, H, W) -> (B, H', W', C, K, K) patch matrix (a contiguous copy)."""
+    if pad > 0:
+        b, c, h, w = x.shape
+        padded = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        x = padded
+    win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (B, C, H', W', K, K)
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))

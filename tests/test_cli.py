@@ -40,6 +40,23 @@ def abc_checkpoint(tmp_path):
     return p
 
 
+CIFAR_ARCH = {
+    "input_shape": [3, 32, 32],
+    "conv_layers": [{"in_channels": 3, "out_channels": 4, "kernel": 3, "stride": 2, "pad": 1}],
+    "num_classes": 10,
+}
+
+
+def cifar_config(tmp_path, data):
+    """A one-epoch CIFAR-10 config file for the data at `data`."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "arch": CIFAR_ARCH, "dataset": f"cifar10:{data}",
+        "epochs": 1, "interval": 1, "meta_attribute": "mean_weight",
+    }))
+    return cfg
+
+
 TRAIN_FLAGS = [
     "--epochs", "2", "--interval", "2", "--prune-rate", "0.3",
     "--seed", "3", "--dataset", "synthetic",
@@ -88,6 +105,8 @@ class TestExitCodes:
         ({"decay_at": [0.5, 1.5]}, "decay_at"), ({"dataset": "cifar10:no-cifar-here"}, "input_shape"),
         ({"decay_factor": -1.0, "decay_at": [0.0, 0.5]}, "decay_factor"),
         ({"weight_decay": float("nan")}, "weight_decay"),
+        ({"arch": {**CIFAR_ARCH, "num_classes": 5}, "dataset": "cifar10:no-cifar-here",
+          "meta_attribute": "top1_loss"}, "num_classes"),
     ])
     def test_bad_config_value_is_runtime_error(self, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"
@@ -122,19 +141,21 @@ class TestExitCodes:
         # a single CIFAR .bin file gives a training split and no eval split
         records = np.random.default_rng(0).integers(0, 10, size=(4, CIFAR_RECORD_BYTES), dtype=np.uint8)
         (tmp_path / "one.bin").write_bytes(records.tobytes())
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "arch": {
-                "input_shape": [3, 32, 32],
-                "conv_layers": [{"in_channels": 3, "out_channels": 4, "kernel": 3, "stride": 2, "pad": 1}],
-                "num_classes": 10,
-            },
-            "dataset": f"cifar10:{tmp_path / 'one.bin'}",
-            "epochs": 1, "interval": 1, "meta_attribute": "mean_weight",
-        }))
+        cfg = cifar_config(tmp_path, tmp_path / "one.bin")
         res = run_cli("train", "--config", cfg, "--out-dir", tmp_path / "run")
         assert res.returncode == 1
         assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+    def test_cifar_label_out_of_range_is_runtime_error(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for name, n in (("data_batch_1.bin", 4), ("test_batch.bin", 2)):
+            records = rng.integers(0, 10, size=(n, CIFAR_RECORD_BYTES), dtype=np.uint8)
+            records[-1, 0] = 0x0A
+            (tmp_path / name).write_bytes(records.tobytes())
+        res = run_cli("train", "--config", cifar_config(tmp_path, tmp_path), "--out-dir", tmp_path / "run")
+        assert res.returncode == 1
+        assert "error:" in res.stderr and "label byte 10" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestTrain:

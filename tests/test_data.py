@@ -1,7 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prunelab.data import (
+    CIFAR_IMAGE_SHAPE,
     CIFAR_RECORD_BYTES,
     gen_synthetic_dataset,
     load_cifar10_binary,
@@ -61,11 +67,16 @@ class TestSyntheticDataset:
         assert evaluate(m, ds.eval_x, ds.eval_y)["top1"] > 0.9
 
 
-def write_cifar_file(path, n_records, seed=0):
+def cifar_records(n_records, seed=0):
     rng = np.random.default_rng(seed)
     records = np.empty((n_records, CIFAR_RECORD_BYTES), dtype=np.uint8)
     records[:, 0] = rng.integers(0, 10, size=n_records)
     records[:, 1:] = rng.integers(0, 256, size=(n_records, CIFAR_RECORD_BYTES - 1))
+    return records
+
+
+def write_cifar_file(path, n_records, seed=0):
+    records = cifar_records(n_records, seed)
     path.write_bytes(records.tobytes())
     return records
 
@@ -114,3 +125,43 @@ class TestCifarLoader:
     def test_missing_directory_batches(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_cifar10_binary(tmp_path)
+
+
+# a small two-file CIFAR directory: two training records, one eval record
+SMALL_CIFAR = {
+    "data_batch_1.bin": cifar_records(2, seed=5).tobytes(),
+    "test_batch.bin": cifar_records(1, seed=6).tobytes(),
+}
+CIFAR_SIZE = CIFAR_RECORD_BYTES * 2  # the larger file; edits past a file's end wrap
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(SMALL_CIFAR)),
+    st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, CIFAR_SIZE - 1)),
+        st.tuples(st.just("replace"), st.integers(0, CIFAR_SIZE - 1), st.integers(0, 255)),
+    ),
+)
+@example("data_batch_1.bin", ("replace", CIFAR_RECORD_BYTES, 0x0A))  # second label byte
+@example("test_batch.bin", ("truncate", 0))
+@example("data_batch_1.bin", ("truncate", CIFAR_RECORD_BYTES))  # one whole record left
+def test_corrupted_cifar_directory_loads_or_is_rejected(name, edit):
+    """Any one-byte replacement or truncation of one file either loads a
+    well-formed dataset or raises ValueError."""
+    raw = bytearray(SMALL_CIFAR[name])
+    if edit[0] == "truncate":
+        raw = raw[: edit[1] % len(raw)]
+    else:
+        raw[edit[1] % len(raw)] = edit[2]
+    with tempfile.TemporaryDirectory() as d:
+        for f, content in SMALL_CIFAR.items():
+            (Path(d) / f).write_bytes(bytes(raw) if f == name else content)
+        try:
+            ds = load_cifar10_binary(d)
+        except ValueError:
+            return
+    for x, y in ((ds.train_x, ds.train_y), (ds.eval_x, ds.eval_y)):
+        assert len(y) >= 1 and x.shape == (len(y), *CIFAR_IMAGE_SHAPE)
+        assert np.all(np.isfinite(x))
+        assert y.min() >= 0 and y.max() < ds.num_classes

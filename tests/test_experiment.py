@@ -26,6 +26,15 @@ TINY_ARCH = {
 }
 
 
+def cifar_arch(num_classes=10):
+    """TINY_ARCH on CIFAR-10 images."""
+    arch = json.loads(json.dumps(TINY_ARCH))
+    arch["input_shape"] = [3, 32, 32]
+    arch["conv_layers"][0]["in_channels"] = 3
+    arch["num_classes"] = num_classes
+    return arch
+
+
 def tiny_config(**kwargs):
     args = dict(
         seed=0, arch=json.loads(json.dumps(TINY_ARCH)), epochs=2, interval=2,
@@ -103,6 +112,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="one channel"):
             tiny_config(arch=arch).validate()
         arch["input_shape"] = [3, 32, 32]
+        arch["num_classes"] = 10
         tiny_config(arch=arch, dataset="cifar10:unused").validate()  # only synthetic is checked
 
     def test_cifar_input_shape_checked_before_loading(self, tmp_path):
@@ -110,11 +120,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"input_shape \[1, 16, 16\].*CIFAR-10") as exc:
             run_experiment(ExperimentConfig(dataset=f"cifar10:{missing}"))
         assert "no-cifar-here" not in str(exc.value)
-        arch = json.loads(json.dumps(TINY_ARCH))
-        arch["input_shape"] = [3, 32, 32]
-        arch["conv_layers"][0]["in_channels"] = 3
         with pytest.raises(FileNotFoundError):  # a CIFAR-shaped arch gets as far as loading
+            run_experiment(tiny_config(arch=cifar_arch(), dataset=f"cifar10:{missing}"))
+
+    @pytest.mark.parametrize("num_classes", [5, 9])
+    def test_cifar_num_classes_checked_before_loading(self, tmp_path, num_classes):
+        # CIFAR-10 labels run to 9: fewer classes would fail at the first batch
+        arch = cifar_arch(num_classes=num_classes)
+        missing = tmp_path / "no-cifar-here"
+        with pytest.raises(ValueError, match=f"num_classes {num_classes} .*10 CIFAR-10") as exc:
             run_experiment(tiny_config(arch=arch, dataset=f"cifar10:{missing}"))
+        assert "no-cifar-here" not in str(exc.value)
+        tiny_config(arch=cifar_arch(num_classes=11), dataset="cifar10:unused").validate()
 
     @pytest.mark.parametrize("key,value", [
         ("lr", -1.0), ("lr", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
@@ -152,16 +169,13 @@ class TestRunExperiment:
             0, 10, size=(4, datamod.CIFAR_RECORD_BYTES), dtype=np.uint8
         )
         (tmp_path / "one.bin").write_bytes(records.tobytes())
-        arch = json.loads(json.dumps(TINY_ARCH))
-        arch["input_shape"] = [3, 32, 32]
-        arch["conv_layers"][0]["in_channels"] = 3
 
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the eval split was checked")
 
         monkeypatch.setattr(mdl, "train_epoch", no_training)
         with pytest.raises(ValueError, match="empty evaluation set"):
-            run_experiment(tiny_config(arch=arch, dataset=f"cifar10:{tmp_path / 'one.bin'}"))
+            run_experiment(tiny_config(arch=cifar_arch(), dataset=f"cifar10:{tmp_path / 'one.bin'}"))
 
     def test_rate_zero_keeps_full_flops(self, tmp_path):
         res = run_experiment(tiny_config(prune_rate=0.0), out_dir=tmp_path)
@@ -229,6 +243,23 @@ class TestGoldenBytes:
             "fb1ddc0b4044bd8063f118b8b43f8d7d00f75c95779c9b5f4afddf090532d777",
             "34ea0ed235c6fed75381f6ad54e9bf774e3c8c84c72ab68b46a7482c38e7600f",
             "27f677ed9a933710b75fd4174ccf07ea7de82e65a449d567add30b3c2ee06747",
+        ),
+        # what the default arch lacks: K = 5 and 1, stride 3, pad 0 and 2,
+        # channel counts that are not multiples of 8
+        "odd_shapes": (
+            dict(image_size=9, epochs=4, interval=1, n_train=120, n_eval=60, arch={
+                "input_shape": [1, 9, 9],
+                "conv_layers": [
+                    {"in_channels": 1, "out_channels": 12, "kernel": 5, "stride": 1, "pad": 2},
+                    {"in_channels": 12, "out_channels": 16, "kernel": 3, "stride": 2, "pad": 0},
+                    {"in_channels": 16, "out_channels": 7, "kernel": 1, "stride": 1, "pad": 0},
+                    {"in_channels": 7, "out_channels": 6, "kernel": 3, "stride": 3, "pad": 1},
+                ],
+                "num_classes": 10,
+            }),
+            "bf768722fa17cd8cb5749a4a4cedc34428dfa4077555cc1ae65c3886099f5198",
+            "579bff529c41769f4289e1f7f893b50d1200bf2e88b0edf75695a2d998c61e93",
+            "328ac7cda00f106973fa5d10874c6bfc83b2bfd4caa4c7add30c2771d4049f9d",
         ),
     }
 

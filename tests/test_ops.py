@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import im2col_by_windows
 from prunelab import ops
 
 
@@ -157,6 +159,67 @@ class TestPatchMatrixHandoff:
         cols = ops.im2col(x, 3, 1, 1)
         assert np.array_equal(x, before)
         assert np.all(cols[:, 0, 0, :, 0, :] == 0.0)  # the top pad row
+
+
+class TestIm2col:
+    """ops.im2col's gather is byte-equal to slicing a zero-padded input
+    window by window, -0.0 included, and hands out fresh arrays."""
+
+    SHAPES = [(7, 7), (5, 9), (1, 6)]  # square, H != W, a single row
+
+    @staticmethod
+    def assert_bytes_equal(x, kernel, stride, pad):
+        got = ops.im2col(x, kernel, stride, pad)
+        want = im2col_by_windows(x, kernel, stride, pad)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), (x.shape, kernel, stride, pad)
+
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    @pytest.mark.parametrize("c", [1, 3, 8, 12, 77])
+    def test_bytes_equal_window_oracle(self, c, layout):
+        rng = np.random.default_rng(c)
+        for (h, w), kernel, stride, pad in itertools.product(
+            self.SHAPES, [1, 2, 3, 5], [1, 2, 3], [0, 1, 2]
+        ):
+            if h + 2 * pad < kernel or w + 2 * pad < kernel:
+                continue
+            if layout == "nchw":
+                x = rng.normal(size=(2, c, h, w))
+            else:  # a conv output's memory order, as relu hands it on
+                x = rng.normal(size=(2, h, w, c)).transpose(0, 3, 1, 2)
+            x[0, c // 2, h // 2, w // 2] = -0.0
+            self.assert_bytes_equal(x, kernel, stride, pad)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (3, 2)])
+    def test_non_contiguous_input(self, stride, pad):
+        big = np.random.default_rng(stride).normal(size=(3, 10, 9, 12))
+        x = big[::2, 1::3, ::-1, 2:9]  # (2, 3, 9, 7), no unit stride
+        assert not x.flags.c_contiguous and not x.flags.f_contiguous
+        self.assert_bytes_equal(x, 3, stride, pad)
+
+    def test_index_cached_and_read_only(self):
+        x = np.random.default_rng(4).normal(size=(2, 5, 6, 4))
+        shape = (5, 6, 4, 3, 2, 1)  # (C, H, W, K, stride, pad)
+        ops.im2col(x, 3, 2, 1)
+        misses = ops._gather_index.cache_info().misses
+        idx = ops._gather_index(*shape)
+        ops.im2col(x, 3, 2, 1)
+        assert ops._gather_index.cache_info().misses == misses
+        assert ops._gather_index(*shape) is idx
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 0
+
+    def test_output_is_fresh(self):
+        x = np.random.default_rng(5).normal(size=(2, 3, 5, 5))
+        before = x.copy()
+        first = ops.im2col(x, 3, 1, 1)
+        first[...] = 7.0
+        assert np.array_equal(x, before)
+        again = ops.im2col(x, 3, 1, 1)
+        assert not np.shares_memory(first, again)
+        assert again.tobytes() == im2col_by_windows(x, 3, 1, 1).tobytes()
 
 
 class TestElementwiseLayers:
