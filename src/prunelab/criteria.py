@@ -12,13 +12,16 @@ defined as 1 (maximally non-informative) and flagged via logging.
 
 Distance matrices are symmetric, so Minkowski scoring computes each filter
 pair once (the upper triangle, one row at a time) and mirrors it; the
-result is bit-identical to computing both triangles.
+result is bit-identical to computing both triangles. minkowski_scores scores
+several exponents from that one pass: each pair's |z_i - z_j| is formed
+once and every exponent reads it, bit-identical to one exponent at a time.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -84,47 +87,78 @@ def lp_norm_scores(weights: np.ndarray, p: float) -> np.ndarray:
     return (flat**p).sum(axis=1) ** (1.0 / p)
 
 
-def _pairwise_distance_matrix(z: np.ndarray, criterion: Criterion) -> np.ndarray:
-    if criterion.kind == "minkowski":
-        # upper triangle one row at a time in one reused (N, D) buffer, then
-        # mirrored: |a - b| == |b - a| exactly, and each pair still reduces a
-        # contiguous length-D row, so the matrix equals the full computation
-        p = criterion.p
-        n = z.shape[0]
-        d = np.empty((n, n))
-        buf = np.empty(z.shape)
-        for i in range(n - 1):
-            diff = buf[: n - 1 - i]
-            np.subtract(z[i + 1 :], z[i], out=diff)
-            np.abs(diff, out=diff)
-            if p != 1:
-                diff **= p
-            row = diff.sum(axis=1)
-            if p != 1:
+def _pth_power(diff: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """diff ** p into out; the square is one multiply, bit-equal to np.power."""
+    if p == 2:
+        return np.multiply(diff, diff, out=out)
+    return np.power(diff, p, out=out)
+
+
+def _minkowski_matrices(z: np.ndarray, ps: Iterable[float]) -> dict[float, np.ndarray]:
+    """Minkowski distance matrix between the rows of z, one per distinct p.
+
+    The upper triangle is built one row at a time: |z_i - z_j| is formed
+    once, in one reused (N, D) buffer, for every p. p = 1 sums it as it is;
+    every other p raises it to the p-th power, reduces each contiguous
+    length-D row and takes the 1/p root. Each row is then mirrored.
+    |a - b| == |b - a| exactly and each pair still reduces a full row, so
+    every matrix equals the both-triangles computation bit for bit."""
+    ps = list(dict.fromkeys(ps))  # a repeated p is computed once
+    for p in ps:
+        if p < 1:
+            raise ValueError(f"p must be >= 1, got {p}")
+    n = z.shape[0]
+    mats = {p: np.zeros((n, n)) for p in ps}  # the diagonal stays exactly zero
+    # p = 1 goes first and the last exponent raises the differences in place,
+    # so a second buffer is needed only for the exponents in between
+    order = sorted(ps, key=lambda p: p != 1)
+    buf = np.empty(z.shape)
+    powed = np.empty(z.shape) if sum(p != 1 for p in ps) > 1 else None
+    for i in range(n - 1):
+        diff = buf[: n - 1 - i]
+        np.subtract(z[i + 1 :], z[i], out=diff)
+        np.abs(diff, out=diff)
+        for p in order:
+            if p == 1:
+                row = diff.sum(axis=1)
+            else:
+                out = diff if p == order[-1] else powed[: n - 1 - i]
+                row = _pth_power(diff, p, out).sum(axis=1)
                 row **= 1.0 / p
-            d[i, i + 1 :] = row
-            d[i + 1 :, i] = row
-    else:  # cosine
-        # cosine is invariant to positive per-filter rescaling; dividing each
-        # row by its max |entry| keeps the Gram diagonal near 1 so the
-        # normalization below cannot underflow for tiny-magnitude filters
-        row_max = np.max(np.abs(z), axis=1, keepdims=True)
-        zn = z / np.where(row_max == 0, 1.0, row_max)
-        gram = zn @ zn.T
-        sq = np.diag(gram).copy()
-        zero = sq == 0
-        if zero.any():
-            # routine under soft pruning (zeroed filters), so debug not warning
-            log.debug(
-                "cosine average distance: %d zero-norm filter(s), their "
-                "pair distances default to 1.0", int(zero.sum()),
-            )
-        safe = np.where(zero, 1.0, sq)
-        # normalize via the Gram diagonal so identical filters get sim == 1 exactly
-        sim = gram / np.sqrt(np.outer(safe, safe))
-        d = np.clip(1.0 - sim, 0.0, 2.0)
-        d[zero, :] = 1.0
-        d[:, zero] = 1.0
+            mats[p][i, i + 1 :] = row
+            mats[p][i + 1 :, i] = row
+    return mats
+
+
+def minkowski_scores(weights: np.ndarray, ps: Iterable[float]) -> dict[float, np.ndarray]:
+    """Average Minkowski distance scores of a (N_out, ...) weight bank for
+    every exponent in ps, from one pass over the filter pairs: {p: scores}.
+    Each equals average_distance_scores(weights, Criterion("minkowski", p))."""
+    z = flatten_filters(np.asarray(weights, dtype=np.float64))
+    return {p: d.sum(axis=1) / z.shape[0] for p, d in _minkowski_matrices(z, ps).items()}
+
+
+def _cosine_distance_matrix(z: np.ndarray) -> np.ndarray:
+    # cosine is invariant to positive per-filter rescaling; dividing each
+    # row by its max |entry| keeps the Gram diagonal near 1 so the
+    # normalization below cannot underflow for tiny-magnitude filters
+    row_max = np.max(np.abs(z), axis=1, keepdims=True)
+    zn = z / np.where(row_max == 0, 1.0, row_max)
+    gram = zn @ zn.T
+    sq = np.diag(gram).copy()
+    zero = sq == 0
+    if zero.any():
+        # routine under soft pruning (zeroed filters), so debug not warning
+        log.debug(
+            "cosine average distance: %d zero-norm filter(s), their "
+            "pair distances default to 1.0", int(zero.sum()),
+        )
+    safe = np.where(zero, 1.0, sq)
+    # normalize via the Gram diagonal so identical filters get sim == 1 exactly
+    sim = gram / np.sqrt(np.outer(safe, safe))
+    d = np.clip(1.0 - sim, 0.0, 2.0)
+    d[zero, :] = 1.0
+    d[:, zero] = 1.0
     np.fill_diagonal(d, 0.0)  # self-distance is exactly zero
     return d
 
@@ -134,9 +168,10 @@ def average_distance_scores(weights: np.ndarray, criterion: Criterion) -> np.nda
     (self term contributes 0; divisor is the filter count)."""
     if not criterion.is_distance_based:
         raise ValueError(f"{criterion.name} is not a distance criterion")
+    if criterion.kind == "minkowski":
+        return minkowski_scores(weights, [criterion.p])[criterion.p]
     z = flatten_filters(np.asarray(weights, dtype=np.float64))
-    d = _pairwise_distance_matrix(z, criterion)
-    return d.sum(axis=1) / z.shape[0]
+    return _cosine_distance_matrix(z).sum(axis=1) / z.shape[0]
 
 
 def criterion_scores(weights: np.ndarray, criterion: Criterion) -> np.ndarray:

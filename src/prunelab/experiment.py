@@ -110,6 +110,8 @@ class ExperimentConfig:
             )
         if self.meta_attribute == "top5_loss" and arch.num_classes < 6:
             raise ValueError("top5_loss needs >= 6 classes")
+        if not self.criteria:
+            raise ValueError("config key 'criteria' must name at least one criterion")
         for name in self.criteria:
             parse_criterion(name)
 

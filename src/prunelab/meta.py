@@ -10,6 +10,11 @@ attribute still draws one value per candidate). By default the reference is
 the current pre-step model; a config switch allows comparing against a
 frozen initial snapshot instead.
 
+The Minkowski exponents among the candidates share one
+criteria.minkowski_scores pass per layer and step, made before any
+candidate is pruned; every other candidate is scored by criterion_scores
+inside candidate_prune, as each mask set is built and evaluated.
+
 Exactly one criterion is applied per step (one-hot action vector).
 """
 
@@ -21,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model as mdl
-from .criteria import Criterion, criterion_scores, select_filters
+from .criteria import Criterion, criterion_scores, minkowski_scores, select_filters
 from .model import ModelState
 
 META_ATTRIBUTES = ("top5_loss", "top1_loss", "mean_weight", "sparsity", "random")
@@ -111,16 +116,24 @@ def _attribute_and_eval(
     return float(sum(int(np.any(w != 0, axis=(1, 2, 3)).sum()) for w in weights)), None
 
 
-def candidate_prune(model: ModelState, criterion: Criterion, rate: float) -> list[np.ndarray]:
+def candidate_prune(
+    model: ModelState,
+    criterion: Criterion,
+    rate: float,
+    scores: Sequence[np.ndarray] | None = None,
+) -> list[np.ndarray]:
     """Masks pruning floor(rate * N) filters of every conv layer by one
-    criterion; previously zeroed filters participate in the ranking."""
+    criterion; previously zeroed filters participate in the ranking.
+    scores, when given, are the criterion's per-layer scores of the model,
+    already computed (select_criterion shares one Minkowski pass)."""
     if not 0 <= rate < 1:
         raise ValueError(f"rate must be in [0, 1), got {rate}")
+    if scores is None:
+        scores = [criterion_scores(w, criterion) for w in model.conv_weights]
     masks = []
-    for w in model.conv_weights:
-        scores = criterion_scores(w, criterion)
+    for w, s in zip(model.conv_weights, scores):
         keep = np.ones(w.shape[0], dtype=bool)
-        keep[select_filters(scores, rate)] = False
+        keep[select_filters(s, rate)] = False
         masks.append(keep)
     return masks
 
@@ -155,8 +168,11 @@ def select_criterion(
     ref = meta_attribute(reference_model or model, eval_x, eval_y, attribute, rng)
     scored: dict[bytes, tuple[float, dict | None]] = {}  # mask bytes -> score
     all_masks, results = [], []
+    ps = [c.p for c in candidates if c.kind == "minkowski"]
+    shared = [minkowski_scores(w, ps) for w in model.conv_weights] if ps else []
     for cand in candidates:
-        masks = candidate_prune(model, cand, rate)
+        scores = [s[cand.p] for s in shared] if cand.kind == "minkowski" else None
+        masks = candidate_prune(model, cand, rate, scores)
         key = b"".join(m.tobytes() for m in masks)
         if attribute == "random" or key not in scored:  # random: one draw per candidate
             scored[key] = _attribute_and_eval(model, masks, eval_x, eval_y, attribute, rng)

@@ -107,6 +107,7 @@ class TestExitCodes:
         ({"weight_decay": float("nan")}, "weight_decay"),
         ({"arch": {**CIFAR_ARCH, "num_classes": 5}, "dataset": "cifar10:no-cifar-here",
           "meta_attribute": "top1_loss"}, "num_classes"),
+        ({"criteria": []}, "criteria"),
     ])
     def test_bad_config_value_is_runtime_error(self, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"

@@ -116,21 +116,87 @@ class TestAverageDistance:
         z = np.random.default_rng(n * d).normal(size=(n, d))
         z[1] = 0.0  # a soft-pruned filter
         z[2] = z[0]  # a duplicated filter
-        got = criteria._pairwise_distance_matrix(z, Criterion("minkowski", p))
+        got = criteria._minkowski_matrices(z, [p])[p]
         assert np.array_equal(got, minkowski_matrix_by_rows(z, p))
         assert np.array_equal(got, got.T)
 
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_minkowski_memory_bounded_on_wide_layer(self, p):
+    @pytest.mark.parametrize("ps,shared", [
+        pytest.param((1,), False, id="1"), pytest.param((2,), False, id="2"),
+        pytest.param((1,), True, id="shared-1"), pytest.param((2,), True, id="shared-2"),
+        pytest.param((1, 2), True, id="shared-1-2"),
+    ])
+    def test_minkowski_memory_bounded_on_wide_layer(self, ps, shared):
         # 128 filters of 1152 weights: an (N, N, D) float64 temporary would be 151 MB
         bank = np.random.default_rng(0).normal(size=(128, 128, 3, 3))
         tracemalloc.start()
         try:
-            criterion_scores(bank, Criterion("minkowski", p))
+            if shared:
+                criteria.minkowski_scores(bank, ps)
+            else:
+                criterion_scores(bank, Criterion("minkowski", ps[0]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+def hard_square_inputs() -> np.ndarray:
+    """Values whose squares are hard to round, with both signs: exact
+    midpoints, subnormal results, results near overflow, and zeros."""
+    rng = np.random.default_rng(0)
+    # an odd m with a 54-bit m*m: x*x lies exactly halfway between two doubles
+    m = rng.integers(94906267, 2**27, size=20000) | 1
+    assert all((int(v) * int(v)).bit_length() == 54 for v in m)
+    midpoints = np.ldexp(m.astype(np.float64), rng.integers(-80, 60, size=m.size))
+    subnormal = np.concatenate([
+        np.ldexp(m[:2000].astype(np.float64), -560),  # midpoints that land below 2**-1022
+        rng.uniform(1e-170, 1.5e-154, size=2000),
+        [5e-324, 2.2250738585072014e-308, 1.4916681462400413e-154],
+    ])
+    big = np.sqrt(np.finfo(np.float64).max)
+    near_overflow = np.concatenate([
+        rng.uniform(0.99 * big, 1.01 * big, size=2000),
+        [big, np.nextafter(big, 0.0), np.nextafter(big, np.inf), np.finfo(np.float64).max],
+    ])
+    x = np.concatenate([midpoints, subnormal, near_overflow, [0.0]])
+    return np.concatenate([x, -x])
+
+
+class TestSharedMinkowskiPass:
+    """minkowski_scores scores several exponents from one pass over the
+    filter pairs, bit-equal to scoring each exponent on its own."""
+
+    @pytest.mark.parametrize("as_type", [int, float])
+    @pytest.mark.parametrize(
+        "ps", [(1,), (2,), (1, 2), (1, 1.5, 2, 3), (2, 1, 2)], ids=lambda ps: "-".join(map(str, ps))
+    )
+    @pytest.mark.parametrize("n,d", [(3, 7), (5, 1), (8, 9), (16, 144), (33, 1000), (128, 1152)])
+    def test_matches_single_exponent_and_oracle(self, n, d, ps, as_type):
+        z = np.random.default_rng(n * d).normal(size=(n, d))
+        z[1] = 0.0  # a soft-pruned filter
+        z[2] = z[0]  # a duplicated filter
+        bank = z.reshape(n, d, 1, 1)
+        ps = [as_type(p) if float(p).is_integer() else p for p in ps]
+        got = criteria.minkowski_scores(bank, ps)
+        assert list(got) == list(dict.fromkeys(ps))  # one entry per distinct p
+        for p in ps:
+            single = criterion_scores(bank, Criterion("minkowski", p))
+            oracle = minkowski_matrix_by_rows(z, p).sum(axis=1) / n
+            assert got[p].tobytes() == single.tobytes() == oracle.tobytes()
+
+    def test_p_below_one_rejected(self):
+        with pytest.raises(ValueError, match="p must be"):
+            criteria.minkowski_scores(ABC, [1, 0.5])
+
+    @pytest.mark.parametrize("p", [2, 2.0])
+    def test_square_bit_equal_to_power(self, p):
+        x = hard_square_inputs()
+        out = np.empty_like(x)
+        with np.errstate(over="ignore"):
+            assert criteria._pth_power(x, p, out) is out
+            assert out.tobytes() == np.power(x, 2.0).tobytes()
+            assert out.tobytes() == (x**p).tobytes()  # the in-place power scoring used before
+        assert np.isinf(out).any() and (out[out > 0] < 2.2250738585072014e-308).any()
 
 
 class TestSelectFilters:

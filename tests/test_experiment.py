@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from prunelab import data as datamod, model as mdl
+from prunelab import data as datamod, experiment, model as mdl
 from prunelab.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -143,6 +143,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"'{key}' must be"):
             tiny_config(**{key: value}).validate()
 
+    def test_empty_criteria_rejected_before_loading(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("loaded or trained before the criteria were checked")
+
+        monkeypatch.setattr(experiment, "load_dataset", no_work)
+        monkeypatch.setattr(mdl, "train_epoch", no_work)
+        with pytest.raises(ValueError, match="'criteria' must name at least one"):
+            run_experiment(tiny_config(criteria=()))
+
     def test_training_value_edges_accepted(self):
         tiny_config(lr=0.0, momentum=0.0, decay_at=(0.0, 1.0)).validate()
 
@@ -260,6 +269,15 @@ class TestGoldenBytes:
             "bf768722fa17cd8cb5749a4a4cedc34428dfa4077555cc1ae65c3886099f5198",
             "579bff529c41769f4289e1f7f893b50d1200bf2e88b0edf75695a2d998c61e93",
             "328ac7cda00f106973fa5d10874c6bfc83b2bfd4caa4c7add30c2771d4049f9d",
+        ),
+        # four Minkowski exponents (int and fractional) scored in one shared
+        # pass, beside a norm and the cosine criterion
+        "minkowski_exponents": (
+            dict(epochs=4, interval=1, criteria=(
+                "minkowski1", "minkowski1.5", "minkowski2", "minkowski3", "l1", "cosine")),
+            "8ee41fb352c340e463d509943d710e2f4ce7d100e1fa8b39514b1d850c3d92ce",
+            "17ecfc8c49c82ef5495c06c9807d642d97b176fddd1e30d076980ed48eaa2388",
+            "c4241c2ecada61ae73ad558f1f05efff35dfa39bf39911205f56ad4ad22da284",
         ),
     }
 

@@ -266,6 +266,37 @@ class TestDistinctCandidates:
         ]
         assert record.candidate_values == separate
 
+    def test_one_shared_minkowski_pass_per_layer(self, tiny_setup, monkeypatch):
+        ds, arch = tiny_setup
+        m = build_model(arch, seed=10)
+        passes, scored, pruned = [], [], []
+        shared, single, prune = meta.minkowski_scores, meta.criterion_scores, meta.candidate_prune
+        monkeypatch.setattr(
+            meta, "minkowski_scores", lambda w, ps: passes.append((w, list(ps))) or shared(w, ps)
+        )
+        monkeypatch.setattr(
+            meta, "criterion_scores", lambda w, c: scored.append(c.kind) or single(w, c)
+        )
+
+        def spy_prune(*args):
+            masks = prune(*args)
+            pruned.append((args[1], b"".join(k.tobytes() for k in masks)))
+            return masks
+
+        monkeypatch.setattr(meta, "candidate_prune", spy_prune)
+        select_criterion(
+            m, ds.eval_x[:24], ds.eval_y[:24], list(DEFAULT_CRITERIA), 0.4, "top1_loss",
+            np.random.default_rng(0),
+        )
+        assert len(passes) == len(m.conv_weights)
+        assert all(w is layer and ps == [1, 2] for (w, ps), layer in zip(passes, m.conv_weights))
+        # the norms and cosine once per layer each, Minkowski never on its own
+        assert sorted(scored) == sorted(["norm", "norm", "cosine"] * len(m.conv_weights))
+        monkeypatch.undo()
+        assert pruned == [
+            (c, b"".join(k.tobytes() for k in candidate_prune(m, c, 0.4))) for c in DEFAULT_CRITERIA
+        ]
+
     def test_random_draws_once_per_candidate(self, tiny_setup):
         ds, arch = tiny_setup
         m = build_model(arch, seed=10)  # masks coincide, the draws must not
