@@ -8,6 +8,12 @@ passed to train_epoch. Soft pruning zeroes filter weights but keeps the full
 shapes, so later gradient steps can revive a pruned filter. Hard pruning
 (compact) physically removes pruned output channels and the matching input
 channels of the next layer.
+
+Each activation is held once. The ReLU runs in place on the fresh conv
+output. Inference (forward, and so evaluate and selection trials) runs the
+conv stack layer by layer and caches nothing, so only the live layer's
+arrays exist. Training caches, per conv layer, its input, a bool ReLU mask
+and its patch matrix: one float activation per layer.
 """
 
 from __future__ import annotations
@@ -167,35 +173,55 @@ def flatten_filters(weights: np.ndarray) -> np.ndarray:
     return weights.reshape(weights.shape[0], -1)
 
 
-def _forward_activations(
-    model: ModelState, batch: np.ndarray, keep_cols: bool = False
-) -> tuple[list, np.ndarray]:
-    """Returns per-layer caches and logits. Conv caches hold (input, pre_relu,
-    post_relu, cols); cols is the layer's im2col patch matrix when keep_cols
-    is set (for the backward pass), else None and freed inside the forward."""
+def _as_batch(model: ModelState, batch: np.ndarray) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 4 or x.shape[1:] != model.arch.input_shape:
         raise ValueError(
             f"batch shape {x.shape} does not match architecture input "
             f"(B, {', '.join(map(str, model.arch.input_shape))})"
         )
+    return x
+
+
+def _forward_activations(model: ModelState, batch: np.ndarray) -> tuple[list, np.ndarray]:
+    """Training forward: per-layer caches for loss_and_gradients, and logits.
+
+    A conv layer's cache is (input, relu_mask, cols): its input (the previous
+    layer's output, ReLU'd in place), the bool mask pre_relu >= 0, taken
+    before the in-place ReLU so that soft-pruned filters (pre_relu == 0) still
+    pass gradient, and its im2col patch matrix, built once for forward and
+    backward. So each layer holds one float activation. The last cache is
+    (pooling input, pooled)."""
+    x = _as_batch(model, batch)
     caches = []
     for spec, w in zip(model.arch.conv_layers, model.conv_weights):
-        cols = ops.im2col(x, spec.kernel, spec.stride, spec.pad) if keep_cols else None
-        pre = ops.conv2d_forward(x, w, spec.stride, spec.pad, cols=cols)
-        post = ops.relu_forward(pre)
-        caches.append((x, pre, post, cols))
-        x = post
+        cols = ops.im2col(x, spec.kernel, spec.stride, spec.pad)
+        out = ops.conv2d_forward(x, w, spec.stride, spec.pad, cols=cols)
+        caches.append((x, out >= 0, cols))
+        x = np.maximum(out, 0.0, out=out)
     pooled = ops.global_avgpool_forward(x)
     logits = ops.linear_forward(pooled, model.fc_weight, model.fc_bias)
     caches.append((x, pooled))
     return caches, logits
 
 
+def _conv_stack(model: ModelState, batch: np.ndarray, n_layers: int) -> np.ndarray:
+    """Output of the first n_layers conv layers, one layer at a time with
+    nothing cached: only the live layer's input and output exist."""
+    x = _as_batch(model, batch)
+    for spec, w in zip(model.arch.conv_layers[:n_layers], model.conv_weights):
+        x = ops.conv2d_forward(x, w, spec.stride, spec.pad)
+        np.maximum(x, 0.0, out=x)
+    return x
+
+
 def forward(model: ModelState, batch: np.ndarray) -> np.ndarray:
-    """Batch (B, C, H, W) -> logits (B, num_classes)."""
-    _, logits = _forward_activations(model, batch)
-    return logits
+    """Batch (B, C, H, W) -> logits (B, num_classes). The inference path: it
+    keeps no caches, each layer's patch matrix is built and dropped inside
+    its conv, and the ReLU runs in place on the conv output."""
+    x = _conv_stack(model, batch, len(model.arch.conv_layers))
+    pooled = ops.global_avgpool_forward(x)
+    return ops.linear_forward(pooled, model.fc_weight, model.fc_bias)
 
 
 def conv_feature_maps(model: ModelState, image: np.ndarray, layer_index: int) -> np.ndarray:
@@ -204,8 +230,7 @@ def conv_feature_maps(model: ModelState, image: np.ndarray, layer_index: int) ->
         raise ValueError(
             f"layer_index {layer_index} out of range [0, {len(model.arch.conv_layers)})"
         )
-    caches, _ = _forward_activations(model, np.asarray(image)[None])
-    return caches[layer_index][2][0]
+    return _conv_stack(model, np.asarray(image)[None], layer_index + 1)[0]
 
 
 def check_masks(arch: Architecture, masks: list) -> list[np.ndarray]:
@@ -295,7 +320,7 @@ def loss_and_gradients(
 
     Gradient dict keys: "conv" (list per layer), "fc_weight", "fc_bias".
     """
-    caches, logits = _forward_activations(model, x, keep_cols=True)
+    caches, logits = _forward_activations(model, x)
     loss, grad_logits = ops.softmax_cross_entropy(logits, y)
     pooled_in, pooled = caches[-1]
     grad_pooled, grad_fc_w, grad_fc_b = ops.linear_backward(
@@ -304,9 +329,9 @@ def loss_and_gradients(
     grad = ops.global_avgpool_backward(pooled_in, grad_pooled)
     conv_grads: list[np.ndarray] = [None] * len(model.conv_weights)  # type: ignore
     for i in range(len(model.conv_weights) - 1, -1, -1):
-        xin, pre, _post, cols = caches[i]
+        xin, relu_mask, cols = caches[i]
         caches[i] = None  # the patch matrix lives only until this layer's backward
-        grad = ops.relu_backward(pre, grad)
+        grad = grad * relu_mask  # ReLU subgradient 1 at 0 (see _forward_activations)
         spec = model.arch.conv_layers[i]
         # layer 0's input is the batch: its gradient has no consumer
         grad, conv_grads[i] = ops.conv2d_backward(

@@ -187,20 +187,6 @@ def conv2d_reference(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0
     return out
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    # subgradient 1 at exactly 0: lets gradient reach soft-pruned (zeroed)
-    # filters whose pre-activations are identically zero, enabling recovery
-    x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if x.shape != grad_out.shape:
-        raise ValueError(f"relu_backward shape mismatch: {x.shape} vs {grad_out.shape}")
-    return grad_out * (x >= 0)
-
-
 def global_avgpool_forward(x: np.ndarray) -> np.ndarray:
     """(B, C, H, W) -> (B, C) per-channel spatial mean."""
     x = np.asarray(x, dtype=np.float64)

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,19 @@ if str(SRC) not in sys.path:
 
 from prunelab.model import Architecture, ConvSpec, build_model  # noqa: E402
 
+# What the default arch lacks: K = 5 and 1, stride 3, pad 0 and 2, channel
+# counts that are not multiples of 8. An ExperimentConfig arch field.
+ODD_SHAPES_ARCH = {
+    "input_shape": [1, 9, 9],
+    "conv_layers": [
+        {"in_channels": 1, "out_channels": 12, "kernel": 5, "stride": 1, "pad": 2},
+        {"in_channels": 12, "out_channels": 16, "kernel": 3, "stride": 2, "pad": 0},
+        {"in_channels": 16, "out_channels": 7, "kernel": 1, "stride": 1, "pad": 0},
+        {"in_channels": 7, "out_channels": 6, "kernel": 3, "stride": 3, "pad": 1},
+    ],
+    "num_classes": 10,
+}
+
 
 def rewrite_header(path, edit):
     """Rewrite a checkpoint's JSON header through edit(header), keeping the payload."""
@@ -20,6 +34,16 @@ def rewrite_header(path, edit):
     edit(header)
     new = json.dumps(header).encode("utf-8")
     Path(path).write_bytes(raw[:8] + np.uint32(len(new)).tobytes() + new + raw[12 + hlen :])
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """Peak traced allocation of fn(*args), in MB (1e6 bytes)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def momentum_buffers(model):

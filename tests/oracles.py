@@ -1,11 +1,16 @@
 """Test oracles: brute-force distances, one pair of filters (or one row of
 the distance matrix) at a time, for checking criteria.average_distance_scores,
-and the window-by-window patch matrix for checking ops.im2col."""
+the window-by-window patch matrix for checking ops.im2col, and a model pass
+that keeps every layer's input, pre-ReLU and post-ReLU arrays, with conv
+passes that each build their own patch matrix, for checking model.forward
+and model.loss_and_gradients."""
 
 import logging
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from prunelab import ops
 
 log = logging.getLogger(__name__)
 
@@ -53,3 +58,45 @@ def im2col_by_windows(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.n
     win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]  # (B, C, H', W', K, K)
     return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+
+
+def relu_forward(x: np.ndarray) -> np.ndarray:
+    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+
+
+def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    # subgradient 1 at exactly 0: lets gradient reach soft-pruned (zeroed)
+    # filters whose pre-activations are identically zero, enabling recovery
+    x = np.asarray(x, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if x.shape != grad_out.shape:
+        raise ValueError(f"relu_backward shape mismatch: {x.shape} vs {grad_out.shape}")
+    return grad_out * (x >= 0)
+
+
+def forward_activations(model, batch: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """(per conv layer (input, pre_relu, post_relu), pooled, logits)."""
+    x = np.asarray(batch, dtype=np.float64)
+    layers = []
+    for spec, w in zip(model.arch.conv_layers, model.conv_weights):
+        pre = ops.conv2d_forward(x, w, spec.stride, spec.pad)
+        post = relu_forward(pre)
+        layers.append((x, pre, post))
+        x = post
+    pooled = ops.global_avgpool_forward(x)
+    return layers, pooled, ops.linear_forward(pooled, model.fc_weight, model.fc_bias)
+
+
+def loss_and_gradients(model, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, dict]:
+    """model.loss_and_gradients through forward_activations."""
+    layers, pooled, logits = forward_activations(model, x)
+    loss, grad = ops.softmax_cross_entropy(logits, y)
+    grad, grad_fc_w, grad_fc_b = ops.linear_backward(pooled, model.fc_weight, grad)
+    grad = ops.global_avgpool_backward(layers[-1][2], grad)
+    conv_grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        xin, pre, _ = layers[i]
+        spec = model.arch.conv_layers[i]
+        grad = relu_backward(pre, grad)
+        grad, conv_grads[i] = ops.conv2d_backward(xin, model.conv_weights[i], grad, spec.stride, spec.pad)
+    return loss, logits, {"conv": conv_grads, "fc_weight": grad_fc_w, "fc_bias": grad_fc_b}

@@ -1,11 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import traced_peak_mb
 from oracles import cosine_distance, minkowski_distance, minkowski_matrix_by_rows
 from prunelab import criteria
 from prunelab.criteria import (
@@ -128,16 +127,11 @@ class TestAverageDistance:
     def test_minkowski_memory_bounded_on_wide_layer(self, ps, shared):
         # 128 filters of 1152 weights: an (N, N, D) float64 temporary would be 151 MB
         bank = np.random.default_rng(0).normal(size=(128, 128, 3, 3))
-        tracemalloc.start()
-        try:
-            if shared:
-                criteria.minkowski_scores(bank, ps)
-            else:
-                criterion_scores(bank, Criterion("minkowski", ps[0]))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
+        if shared:
+            peak = traced_peak_mb(criteria.minkowski_scores, bank, ps)
+        else:
+            peak = traced_peak_mb(criterion_scores, bank, Criterion("minkowski", ps[0]))
+        assert peak < 20
 
 
 def hard_square_inputs() -> np.ndarray:

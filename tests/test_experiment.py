@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import ODD_SHAPES_ARCH
 from prunelab import data as datamod, experiment, model as mdl
 from prunelab.experiment import (
     CSV_COLUMNS,
@@ -253,19 +254,9 @@ class TestGoldenBytes:
             "34ea0ed235c6fed75381f6ad54e9bf774e3c8c84c72ab68b46a7482c38e7600f",
             "27f677ed9a933710b75fd4174ccf07ea7de82e65a449d567add30b3c2ee06747",
         ),
-        # what the default arch lacks: K = 5 and 1, stride 3, pad 0 and 2,
-        # channel counts that are not multiples of 8
+        # the arch with what the default one lacks (see ODD_SHAPES_ARCH)
         "odd_shapes": (
-            dict(image_size=9, epochs=4, interval=1, n_train=120, n_eval=60, arch={
-                "input_shape": [1, 9, 9],
-                "conv_layers": [
-                    {"in_channels": 1, "out_channels": 12, "kernel": 5, "stride": 1, "pad": 2},
-                    {"in_channels": 12, "out_channels": 16, "kernel": 3, "stride": 2, "pad": 0},
-                    {"in_channels": 16, "out_channels": 7, "kernel": 1, "stride": 1, "pad": 0},
-                    {"in_channels": 7, "out_channels": 6, "kernel": 3, "stride": 3, "pad": 1},
-                ],
-                "num_classes": 10,
-            }),
+            dict(image_size=9, epochs=4, interval=1, n_train=120, n_eval=60, arch=ODD_SHAPES_ARCH),
             "bf768722fa17cd8cb5749a4a4cedc34428dfa4077555cc1ae65c3886099f5198",
             "579bff529c41769f4289e1f7f893b50d1200bf2e88b0edf75695a2d998c61e93",
             "328ac7cda00f106973fa5d10874c6bfc83b2bfd4caa4c7add30c2771d4049f9d",

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import momentum_buffers
+import oracles
+from conftest import ODD_SHAPES_ARCH, momentum_buffers, random_architecture, traced_peak_mb
 from prunelab import model as mdl, ops
 from prunelab.data import gen_synthetic_dataset
+from prunelab.experiment import DEFAULT_ARCH
 from prunelab.model import Architecture, ConvSpec, build_model
 
 
@@ -282,13 +284,114 @@ class TestPatchMatrixReuse:
         x = np.random.default_rng(3).normal(size=(4, 1, 6, 6))
         y = np.array([0, 1, 2, 3])
         _, _, grads = mdl.loss_and_gradients(small_model, x, y)
-        caches, logits = mdl._forward_activations(small_model, x)
-        _, grad = ops.softmax_cross_entropy(logits, y)
-        grad, _, _ = ops.linear_backward(caches[-1][1], small_model.fc_weight, grad)
-        grad = ops.global_avgpool_backward(caches[-1][0], grad)
+        _, _, expected = oracles.loss_and_gradients(small_model, x, y)
         for i in range(len(small_model.conv_weights) - 1, -1, -1):
-            xin, pre, _, _ = caches[i]
-            spec = small_model.arch.conv_layers[i]
-            grad = ops.relu_backward(pre, grad)
-            grad, gw = ops.conv2d_backward(xin, small_model.conv_weights[i], grad, spec.stride, spec.pad)
-            assert np.array_equal(gw, grads["conv"][i])
+            assert np.array_equal(expected["conv"][i], grads["conv"][i])
+
+
+WIDE_TRAIN_ARCH = Architecture(  # perfbench's wide-train workload
+    (1, 32, 32),
+    (ConvSpec(1, 32, 3, 1, 1), ConvSpec(32, 32, 3, 2, 1),
+     ConvSpec(32, 64, 3, 1, 1), ConvSpec(64, 64, 3, 2, 1)),
+    num_classes=10,
+)
+
+
+def layer_sizes(arch: Architecture, batch: int) -> list[dict]:
+    """Per conv layer, float64 element counts of its input, patch matrix,
+    output and zero-padded input, for a batch."""
+    h, w = arch.input_shape[1:]
+    sizes = []
+    for spec, (oh, ow) in zip(arch.conv_layers, arch.spatial_sizes()):
+        sizes.append({
+            "input": batch * spec.in_channels * h * w,
+            "cols": batch * oh * ow * spec.in_channels * spec.kernel**2,
+            "output": batch * spec.out_channels * oh * ow,
+            "padded": batch * spec.in_channels * (h + 2 * spec.pad) * (w + 2 * spec.pad),
+        })
+        h, w = oh, ow
+    return sizes
+
+
+class TestHeldActivations:
+    """forward holds one layer at a time; training holds one float activation
+    and one bool ReLU mask per layer; both give the three-array pass's bytes."""
+
+    @staticmethod
+    def check_against_oracle(model, x, y):
+        layers, _, logits = oracles.forward_activations(model, x)
+        assert mdl.forward(model, x).tobytes() == logits.tobytes()
+        # a batch of one: a GEMM's bits may change when its rows are split
+        for i, (_, _, post) in enumerate(oracles.forward_activations(model, x[:1])[0]):
+            assert mdl.conv_feature_maps(model, x[0], i).tobytes() == post[0].tobytes()
+        loss, train_logits, grads = mdl.loss_and_gradients(model, x, y)
+        exp_loss, exp_logits, expected = oracles.loss_and_gradients(model, x, y)
+        assert loss == exp_loss and train_logits.tobytes() == exp_logits.tobytes()
+        for got, want in zip(grads["conv"], expected["conv"]):
+            assert got.tobytes() == want.tobytes()
+        for key in ("fc_weight", "fc_bias"):
+            assert grads[key].tobytes() == expected[key].tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_architectures_match_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        arch = random_architecture(rng)
+        model = build_model(arch, seed=seed)
+        x = rng.normal(size=(5,) + arch.input_shape)
+        self.check_against_oracle(model, x, rng.integers(0, arch.num_classes, size=5))
+
+    def test_odd_shapes_match_oracle(self):
+        arch = Architecture.from_dict(ODD_SHAPES_ARCH)
+        rng = np.random.default_rng(9)
+        model = build_model(arch, seed=9)
+        x = rng.normal(size=(6,) + arch.input_shape)
+        self.check_against_oracle(model, x, rng.integers(0, arch.num_classes, size=6))
+
+    def test_zeroed_filter_gets_gradient(self):
+        # a soft-pruned filter's pre-ReLU output is exactly 0 and must still
+        # pass gradient (ReLU subgradient 1 at 0), so it can recover
+        arch = Architecture.from_dict(ODD_SHAPES_ARCH)
+        model = build_model(arch, seed=4)
+        model.conv_weights[1][5] = 0.0
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(6,) + arch.input_shape)
+        y = rng.integers(0, arch.num_classes, size=6)
+        _, _, grads = mdl.loss_and_gradients(model, x, y)
+        _, _, expected = oracles.loss_and_gradients(model, x, y)
+        assert np.any(grads["conv"][1][5] != 0.0)
+        assert grads["conv"][1][5].tobytes() == expected["conv"][1][5].tobytes()
+
+    @pytest.mark.parametrize("arch,batch", [
+        pytest.param(Architecture.from_dict(DEFAULT_ARCH), 256, id="default-256"),
+        pytest.param(WIDE_TRAIN_ARCH, 64, id="wide-train-64"),
+    ])
+    def test_forward_peak_is_one_layer(self, arch, batch):
+        # a layer's working set: input, its channel-last copy (one extra slot
+        # per image), patch matrix and output
+        bound = max(
+            (2 * s["input"] + batch + s["cols"] + s["output"]) * 8 for s in layer_sizes(arch, batch)
+        ) / 1e6 + 1.0
+        model = build_model(arch, seed=0)
+        x = np.random.default_rng(0).normal(size=(batch,) + arch.input_shape)
+        mdl.forward(model, x[:1])  # builds the cached gather indices
+        assert traced_peak_mb(mdl.forward, model, x) <= bound
+
+    def test_training_peak_holds_one_float_activation_per_layer(self):
+        # the forward keeps every layer's output (float) and ReLU mask (bool)
+        # and the patch matrices of the layers not yet through backward; a
+        # layer's backward adds its input-gradient patch matrix, padded input
+        # gradient and three output-sized arrays
+        batch = 32
+        sizes = layer_sizes(WIDE_TRAIN_ARCH, batch)
+        outputs = sum(s["output"] * 9 for s in sizes)
+        bound = max(
+            outputs + 8 * (sum(t["cols"] for t in sizes[: i + 1])
+                           + s["cols"] + s["padded"] + 3 * s["output"])
+            for i, s in enumerate(sizes)
+        ) / 1e6 + 1.0
+        model = build_model(WIDE_TRAIN_ARCH, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(batch,) + WIDE_TRAIN_ARCH.input_shape)
+        y = rng.integers(0, 10, size=batch)
+        mdl.loss_and_gradients(model, x[:2], y[:2])  # builds the cached gather indices
+        assert traced_peak_mb(mdl.loss_and_gradients, model, x, y) <= bound
