@@ -12,8 +12,9 @@ channels of the next layer.
 Each activation is held once. The ReLU runs in place on the fresh conv
 output. Inference (forward, and so evaluate and selection trials) runs the
 conv stack layer by layer and caches nothing, so only the live layer's
-arrays exist. Training caches, per conv layer, its input, a bool ReLU mask
-and its patch matrix: one float activation per layer.
+arrays exist. Training holds no float activation: it caches, per conv
+layer, a bool ReLU mask and the patch matrix, and backward frees each patch
+matrix before building that layer's input gradient.
 """
 
 from __future__ import annotations
@@ -183,25 +184,31 @@ def _as_batch(model: ModelState, batch: np.ndarray) -> np.ndarray:
     return x
 
 
+def _shape_stand_in(x: np.ndarray) -> np.ndarray:
+    """A zero-byte stand-in with x's shape, for a backward that reads only that."""
+    return np.broadcast_to(np.float64(0.0), x.shape)
+
+
 def _forward_activations(model: ModelState, batch: np.ndarray) -> tuple[list, np.ndarray]:
     """Training forward: per-layer caches for loss_and_gradients, and logits.
 
-    A conv layer's cache is (input, relu_mask, cols): its input (the previous
-    layer's output, ReLU'd in place), the bool mask pre_relu >= 0, taken
-    before the in-place ReLU so that soft-pruned filters (pre_relu == 0) still
-    pass gradient, and its im2col patch matrix, built once for forward and
-    backward. So each layer holds one float activation. The last cache is
-    (pooling input, pooled)."""
+    A conv layer's cache is (input stand-in, relu_mask, cols): a zero-byte
+    stand-in with its input's shape (given cols, the conv backward reads
+    nothing else of the input), the bool mask pre_relu >= 0, taken before the
+    in-place ReLU so that soft-pruned filters (pre_relu == 0) still pass
+    gradient, and its im2col patch matrix, built once for forward and
+    backward. So no layer's float activation outlives the next layer's
+    forward. The last cache is (pooling input stand-in, pooled)."""
     x = _as_batch(model, batch)
     caches = []
     for spec, w in zip(model.arch.conv_layers, model.conv_weights):
         cols = ops.im2col(x, spec.kernel, spec.stride, spec.pad)
         out = ops.conv2d_forward(x, w, spec.stride, spec.pad, cols=cols)
-        caches.append((x, out >= 0, cols))
+        caches.append((_shape_stand_in(x), out >= 0, cols))
         x = np.maximum(out, 0.0, out=out)
     pooled = ops.global_avgpool_forward(x)
     logits = ops.linear_forward(pooled, model.fc_weight, model.fc_bias)
-    caches.append((x, pooled))
+    caches.append((_shape_stand_in(x), pooled))
     return caches, logits
 
 
@@ -322,21 +329,22 @@ def loss_and_gradients(
     """
     caches, logits = _forward_activations(model, x)
     loss, grad_logits = ops.softmax_cross_entropy(logits, y)
-    pooled_in, pooled = caches[-1]
+    pooled_in, pooled = caches.pop()
     grad_pooled, grad_fc_w, grad_fc_b = ops.linear_backward(
         pooled, model.fc_weight, grad_logits
     )
     grad = ops.global_avgpool_backward(pooled_in, grad_pooled)
     conv_grads: list[np.ndarray] = [None] * len(model.conv_weights)  # type: ignore
     for i in range(len(model.conv_weights) - 1, -1, -1):
-        xin, relu_mask, cols = caches[i]
-        caches[i] = None  # the patch matrix lives only until this layer's backward
+        xin, relu_mask = caches[i][:2]  # not cols: see the call below
         grad = grad * relu_mask  # ReLU subgradient 1 at 0 (see _forward_activations)
         spec = model.arch.conv_layers[i]
-        # layer 0's input is the batch: its gradient has no consumer
+        # the popped patch matrix's only reference is the call's argument, so
+        # conv2d_backward frees it before building dcols; layer 0's input is
+        # the batch: its gradient has no consumer
         grad, conv_grads[i] = ops.conv2d_backward(
             xin, model.conv_weights[i], grad, spec.stride, spec.pad,
-            cols=cols, grad_input=i > 0,
+            cols=caches.pop()[2], grad_input=i > 0,
         )
     grads = {"conv": conv_grads, "fc_weight": grad_fc_w, "fc_bias": grad_fc_b}
     return loss, logits, grads

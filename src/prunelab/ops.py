@@ -1,8 +1,11 @@
 """Dense tensor ops with analytic backward passes.
 
-Everything here is double precision and purely functional: no op mutates
-its inputs, identical inputs produce bit-identical outputs. Convolution
-uses the cross-correlation convention (no kernel flip).
+Everything here is double precision, and identical inputs produce
+bit-identical outputs. The forward and backward ops return fresh arrays and
+never write into their inputs. Two helpers do mutate: sgd_step updates the
+parameters and momentum buffers in place, and finite_difference_grad nudges
+one entry of x at a time and restores it. Convolution uses the
+cross-correlation convention (no kernel flip).
 
 Both conv passes work on the im2col patch matrix of their input. A caller
 that runs forward and backward on the same input can build it once with
@@ -129,8 +132,13 @@ def conv2d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of sum(grad_out * conv2d_forward(x, w)) w.r.t. x and w.
 
-    cols: optional im2col(x, K, stride, pad). With grad_input=False the
-    input gradient is not computed and comes back None.
+    cols: optional im2col(x, K, stride, pad). When it is given, only x.shape
+    is read, so x may be a zero-byte stand-in such as
+    np.broadcast_to(np.float64(0.0), shape). cols is read, never written, and
+    this call drops its reference after the weight-gradient GEMM: a caller
+    that passes its only reference frees the patch matrix before dcols, of
+    the same size, is built. With grad_input=False the input gradient is not
+    computed and comes back None.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -146,6 +154,7 @@ def conv2d_backward(
     cols = _patch_matrix(x, w, stride, pad, cols)  # (B, H', W', C, K, K)
     g2 = grad_out.transpose(0, 2, 3, 1).reshape(-1, w.shape[0])  # (B*H'*W', C_out)
     grad_w = (g2.T @ cols.reshape(g2.shape[0], -1)).reshape(w.shape)
+    del cols
     if not grad_input:
         return None, grad_w
 
@@ -196,6 +205,7 @@ def global_avgpool_forward(x: np.ndarray) -> np.ndarray:
 
 
 def global_avgpool_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Only x.shape is read, so x may be a zero-byte broadcast_to stand-in."""
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != x.shape[:2]:

@@ -238,7 +238,7 @@ class TestPatchMatrixReuse:
     it to backward; inference builds it inside the forward and drops it."""
 
     def spy(self, monkeypatch):
-        calls = {"im2col": 0, "forward_cols": [], "backward": []}
+        calls = {"im2col": 0, "forward_cols": [], "backward": [], "backward_x_shape": []}
         im2col, forward, backward = ops.im2col, ops.conv2d_forward, ops.conv2d_backward
 
         def count_im2col(*args, **kwargs):
@@ -250,6 +250,7 @@ class TestPatchMatrixReuse:
             return forward(*args, **kwargs)
 
         def spy_backward(*args, **kwargs):
+            calls["backward_x_shape"].append(args[0].shape)
             grad_x, grad_w = backward(*args, **kwargs)
             calls["backward"].append((kwargs.get("cols") is not None, grad_x is None))
             return grad_x, grad_w
@@ -272,6 +273,14 @@ class TestPatchMatrixReuse:
         assert calls["forward_cols"] == [True] * (batches * layers)
         # backward runs last layer first; only layer 0 skips its input gradient
         assert calls["backward"] == [(True, False), (True, True)] * batches
+
+    def test_backward_x_is_positional_with_the_input_shape(self, small_model, monkeypatch):
+        # the input reaches backward as a zero-byte stand-in; perfbench's
+        # tracer reads args[0].shape of each call, so it must be the input's
+        x = np.random.default_rng(5).normal(size=(3, 1, 6, 6))
+        calls = self.spy(monkeypatch)
+        mdl.loss_and_gradients(small_model, x, np.array([0, 1, 2]))
+        assert calls["backward_x_shape"] == [(3, 4, 6, 6), (3, 1, 6, 6)]
 
     def test_inference_builds_inside_forward(self, small_model, monkeypatch):
         calls = self.spy(monkeypatch)
@@ -296,6 +305,12 @@ WIDE_TRAIN_ARCH = Architecture(  # perfbench's wide-train workload
     num_classes=10,
 )
 
+WIDE_SELECT_ARCH = Architecture(  # perfbench's wide-select workload
+    (1, 4, 4),
+    (ConvSpec(1, 128, 3, 1, 1),) + (ConvSpec(128, 128, 3, 1, 1),) * 3,
+    num_classes=10,
+)
+
 
 def layer_sizes(arch: Architecture, batch: int) -> list[dict]:
     """Per conv layer, float64 element counts of its input, patch matrix,
@@ -314,8 +329,10 @@ def layer_sizes(arch: Architecture, batch: int) -> list[dict]:
 
 
 class TestHeldActivations:
-    """forward holds one layer at a time; training holds one float activation
-    and one bool ReLU mask per layer; both give the three-array pass's bytes."""
+    """forward holds one layer at a time; training holds no float activation,
+    only a bool ReLU mask and a patch matrix per layer, and frees each patch
+    matrix before its layer's input gradient; both give the three-array
+    pass's bytes."""
 
     @staticmethod
     def check_against_oracle(model, x, y):
@@ -393,5 +410,39 @@ class TestHeldActivations:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(batch,) + WIDE_TRAIN_ARCH.input_shape)
         y = rng.integers(0, 10, size=batch)
+        mdl.loss_and_gradients(model, x[:2], y[:2])  # builds the cached gather indices
+        assert traced_peak_mb(mdl.loss_and_gradients, model, x, y) <= bound
+
+    @pytest.mark.parametrize("arch", [
+        pytest.param(WIDE_TRAIN_ARCH, id="wide-train"),
+        pytest.param(WIDE_SELECT_ARCH, id="wide-select"),
+    ])
+    def test_training_peak_holds_no_float_activation(self, arch):
+        # held throughout: every layer's bool ReLU mask and the patch matrices
+        # of the layers not yet through backward. A layer's forward adds its
+        # input and either its channel-last copy (one extra slot per image) or
+        # its output; this phase sets the wide-train peak. A layer's backward
+        # adds its dcols (its own patch matrix is freed first), padded input
+        # gradient, three output-sized arrays and the weight gradients made so
+        # far; this phase sets the wide-select peak, where the 128-filter
+        # weight gradients are too large to leave to the 1 MB slack. A float
+        # activation held per layer exceeds the bound on both.
+        batch = 32
+        sizes = layer_sizes(arch, batch)
+        weights = [s.out_channels * s.in_channels * s.kernel**2 for s in arch.conv_layers]
+        forward = [
+            sum(t["cols"] for t in sizes[: i + 1]) + s["input"] + max(s["input"] + batch, s["output"])
+            for i, s in enumerate(sizes)
+        ]
+        backward = [
+            sum(t["cols"] for t in sizes[:i]) + s["cols"] + s["padded"] + 3 * s["output"] + sum(weights[i:])
+            for i, s in enumerate(sizes)
+        ]
+        masks = sum(s["output"] for s in sizes)
+        bound = (masks + 8 * max(forward + backward)) / 1e6 + 1.0
+        model = build_model(arch, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(batch,) + arch.input_shape)
+        y = rng.integers(0, arch.num_classes, size=batch)
         mdl.loss_and_gradients(model, x[:2], y[:2])  # builds the cached gather indices
         assert traced_peak_mb(mdl.loss_and_gradients, model, x, y) <= bound

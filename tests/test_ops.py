@@ -138,6 +138,33 @@ class TestPatchMatrixHandoff:
         assert np.array_equal(gx_c, gx) and np.array_equal(gw_c, gw)
         assert np.array_equal(cols, before)  # read, never written
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("grad_input", [True, False])
+    def test_shape_stand_in_bit_equal(self, stride, pad, grad_input):
+        # given cols, backward reads only x.shape: a zero-byte stand-in serves
+        rng = np.random.default_rng(stride * 10 + pad)
+        x = rng.normal(size=(2, 3, 7, 7))
+        w = rng.normal(size=(4, 3, 3, 3))
+        cols = ops.im2col(x, 3, stride, pad)
+        g = rng.normal(size=ops.conv2d_forward(x, w, stride, pad).shape)
+        stand_in = np.broadcast_to(np.float64(0.0), x.shape)
+        gx, gw = ops.conv2d_backward(x, w, g, stride, pad, cols=cols, grad_input=grad_input)
+        gx_s, gw_s = ops.conv2d_backward(stand_in, w, g, stride, pad, cols=cols, grad_input=grad_input)
+        assert gw_s.tobytes() == gw.tobytes()
+        if grad_input:
+            assert gx_s.tobytes() == gx.tobytes()
+        else:
+            assert gx is None and gx_s is None
+
+    def test_avgpool_backward_shape_stand_in_bit_equal(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 4, 5, 2))
+        g = rng.normal(size=(3, 4))
+        stand_in = np.broadcast_to(np.float64(0.0), x.shape)
+        got = ops.global_avgpool_backward(stand_in, g)
+        assert got.tobytes() == ops.global_avgpool_backward(x, g).tobytes()
+
     def test_skipped_input_gradient(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 2, 5, 5))
