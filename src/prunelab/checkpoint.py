@@ -5,8 +5,9 @@ Layout:
   u32 LE format version (currently 1)
   u32 LE header length, then that many bytes of UTF-8 JSON:
       {"arch": ..., "masks": [[...]], "seed": int, "epoch": int}
-  all weights concatenated as little-endian float64, row-major, in
-  declaration order: conv layer 0..L-1, then classifier weight, then bias.
+  ModelState.parameters() concatenated as little-endian float64,
+  row-major, each with its shape from model.param_shapes(arch): conv
+  layer 0..L-1, then classifier weight, then bias.
 
 A checkpoint stores the whole ModelState; optimizer state is not part of
 it. load_checkpoint checks the header's masks against the architecture: one
@@ -16,11 +17,12 @@ list per conv layer holding a 0 or 1 for each of its filters.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .model import Architecture, ModelState, check_masks
+from .model import Architecture, ModelState, check_masks, param_shapes
 
 MAGIC = b"MFPC"
 VERSION = 1
@@ -41,14 +43,13 @@ def save_checkpoint(model: ModelState, path: str | Path, seed: int = 0, epoch: i
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    blobs = [w for w in model.conv_weights] + [model.fc_weight, model.fc_bias]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.uint32(VERSION).tobytes())
         fh.write(np.uint32(len(header)).tobytes())
         fh.write(header)
-        for blob in blobs:
-            fh.write(np.ascontiguousarray(blob, dtype="<f8").tobytes())
+        for param in model.parameters():
+            fh.write(np.ascontiguousarray(param, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
@@ -69,29 +70,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: invalid header: {exc}") from exc
 
-    shapes = [
-        (s.out_channels, s.in_channels, s.kernel, s.kernel) for s in arch.conv_layers
-    ]
-    shapes.append((arch.num_classes, arch.conv_layers[-1].out_channels))
-    shapes.append((arch.num_classes,))
-    need = sum(int(np.prod(s)) for s in shapes)
+    shapes = param_shapes(arch)
+    sizes = [math.prod(s) for s in shapes]
     body = raw[12 + hlen :]
-    if len(body) != need * 8:
+    if len(body) != sum(sizes) * 8:
         raise CheckpointError(
-            f"{path}: weight payload is {len(body)} bytes, expected {need * 8}"
+            f"{path}: weight payload is {len(body)} bytes, expected {sum(sizes) * 8}"
         )
-    flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    arrays = []
-    off = 0
-    for s in shapes:
-        cnt = int(np.prod(s))
-        arrays.append(flat[off : off + cnt].reshape(s).copy())
-        off += cnt
-    model = ModelState(
-        arch=arch,
-        conv_weights=arrays[: len(arch.conv_layers)],
-        masks=masks,
-        fc_weight=arrays[-2],
-        fc_bias=arrays[-1],
-    )
-    return model, header
+    pieces = np.split(np.frombuffer(body, dtype="<f8"), np.cumsum(sizes)[:-1])
+    params = [piece.reshape(s).astype(np.float64) for piece, s in zip(pieces, shapes)]
+    return ModelState(arch, params[:-2], masks, params[-2], params[-1]), header

@@ -213,7 +213,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_visualize(args: argparse.Namespace) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    image = np.load(args.image)
+    image = np.asarray(np.load(args.image), dtype=np.float64)
+    if not np.isfinite(image).all():
+        raise ValueError(f"{args.image}: image holds NaN or inf values")
     if image.ndim == 2:
         image = image[None]
     paths = render_feature_maps(model, image, args.layer, args.out)
@@ -224,6 +226,8 @@ def cmd_visualize(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (getattr(args, "seed", None) or 0) < 0:  # numpy seeds are non-negative
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     handlers = {
         "train": cmd_train,
         "sweep": cmd_sweep,

@@ -1,7 +1,7 @@
 """Filter pruning criteria: lp-norm scores and average-distance scores.
 
-All criteria produce a score per filter with the convention "prune the
-smallest". Norm scores capture magnitude; average-distance scores capture
+criterion_scores scores a layer's filters by any criterion; the smallest
+are pruned. Norm scores capture magnitude; average-distance scores capture
 how replaceable a filter is by its layer-mates (a small mean distance to
 the other filters marks a redundant filter).
 
@@ -51,10 +51,6 @@ class Criterion:
         if self.kind == "minkowski":
             return f"minkowski{self.p:g}"
         return "cosine"
-
-    @property
-    def is_distance_based(self) -> bool:
-        return self.kind in ("minkowski", "cosine")
 
 
 def parse_criterion(name: str) -> Criterion:
@@ -133,7 +129,7 @@ def _minkowski_matrices(z: np.ndarray, ps: Iterable[float]) -> dict[float, np.nd
 def minkowski_scores(weights: np.ndarray, ps: Iterable[float]) -> dict[float, np.ndarray]:
     """Average Minkowski distance scores of a (N_out, ...) weight bank for
     every exponent in ps, from one pass over the filter pairs: {p: scores}.
-    Each equals average_distance_scores(weights, Criterion("minkowski", p))."""
+    Each equals criterion_scores(weights, Criterion("minkowski", p))."""
     z = flatten_filters(np.asarray(weights, dtype=np.float64))
     return {p: d.sum(axis=1) / z.shape[0] for p, d in _minkowski_matrices(z, ps).items()}
 
@@ -163,21 +159,17 @@ def _cosine_distance_matrix(z: np.ndarray) -> np.ndarray:
     return d
 
 
-def average_distance_scores(weights: np.ndarray, criterion: Criterion) -> np.ndarray:
-    """Mean distance from each filter to all filters of its layer
-    (self term contributes 0; divisor is the filter count)."""
-    if not criterion.is_distance_based:
-        raise ValueError(f"{criterion.name} is not a distance criterion")
+def criterion_scores(weights: np.ndarray, criterion: Criterion) -> np.ndarray:
+    """Per-filter scores of a (N_out, ...) weight bank by one criterion: the
+    lp norm, or the mean Minkowski or cosine distance from each filter to
+    all filters of its layer (self term contributes 0; divisor is the
+    filter count)."""
+    if criterion.kind == "norm":
+        return lp_norm_scores(weights, criterion.p)
     if criterion.kind == "minkowski":
         return minkowski_scores(weights, [criterion.p])[criterion.p]
     z = flatten_filters(np.asarray(weights, dtype=np.float64))
     return _cosine_distance_matrix(z).sum(axis=1) / z.shape[0]
-
-
-def criterion_scores(weights: np.ndarray, criterion: Criterion) -> np.ndarray:
-    if criterion.kind == "norm":
-        return lp_norm_scores(weights, criterion.p)
-    return average_distance_scores(weights, criterion)
 
 
 def select_filters(scores: np.ndarray, prune_rate: float) -> list[int]:

@@ -14,6 +14,7 @@ wall_time_seconds in manifest.json, the field to mask when comparing runs.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -71,10 +72,12 @@ class ExperimentConfig:
         for key in ("batch_size", "eval_batch_size", "n_train", "n_eval", "image_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"config key {key!r} must be >= 1, got {getattr(self, key)}")
-        # lr == 0 is train_epoch's evaluation pass; NaN fails
+        if self.seed < 0:
+            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed}")
+        # lr == 0 is train_epoch's evaluation pass; NaN and inf fail
         for key in ("lr", "decay_factor", "weight_decay"):
-            if not getattr(self, key) >= 0:
-                raise ValueError(f"config key {key!r} must be >= 0, got {getattr(self, key)}")
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"config key {key!r} must be finite and >= 0, got {getattr(self, key)}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"config key 'momentum' must be in [0, 1), got {self.momentum}")
         if not all(0 <= f <= 1 for f in self.decay_at):
@@ -221,7 +224,7 @@ def run_experiment(
     lr_at = config.lr_schedule()
     reference = model.copy() if config.reference_initial else None
     # momentum buffers, one per parameter in sgd_step order
-    velocity = [np.zeros_like(p) for p in model.conv_weights + [model.fc_weight, model.fc_bias]]
+    velocity = [np.zeros_like(p) for p in model.parameters()]
     records: list[meta.PruneStepRecord] = []
     reports: list[EpochReport] = []
 
@@ -324,10 +327,8 @@ def emit_report(
                 }
             )
         )
-        for rec in by_epoch.pop(rep.epoch, []):
-            lines.append(_prune_row(rec))
-    for epoch in sorted(by_epoch):  # trailing partial-interval step
-        for rec in by_epoch[epoch]:
+        # a trailing partial interval's step has the last epoch's number
+        for rec in by_epoch.get(rep.epoch, []):
             lines.append(_prune_row(rec))
     csv_path = out_dir / "report.csv"
     csv_path.write_text("\n".join(lines) + "\n", newline="\n")

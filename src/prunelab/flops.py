@@ -9,7 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,14 +37,7 @@ class FlopsReport:
 
     def to_dict(self) -> dict:
         return {
-            "layers": [
-                {
-                    "index": l.index,
-                    "baseline_macs": l.baseline_macs,
-                    "pruned_macs": l.pruned_macs,
-                }
-                for l in self.layers
-            ],
+            "layers": [asdict(l) for l in self.layers],
             "baseline_macs": self.baseline_total,
             "pruned_macs": self.pruned_total,
             "theoretical_reduction": self.theoretical_reduction_ratio,

@@ -184,9 +184,7 @@ def select_criterion(
         pick = int(rng.integers(len(candidates)))
     else:
         pick = int(np.argmin(gaps))  # argmin returns the first minimum
-        assert gaps[pick] <= min(gaps)
     action = [1 if i == pick else 0 for i in range(len(candidates))]
-    assert sum(action) == 1
     record = PruneStepRecord(
         step=step,
         epoch=epoch,

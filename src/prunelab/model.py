@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -97,16 +97,7 @@ class Architecture:
     def to_dict(self) -> dict:
         return {
             "input_shape": list(self.input_shape),
-            "conv_layers": [
-                {
-                    "in_channels": s.in_channels,
-                    "out_channels": s.out_channels,
-                    "kernel": s.kernel,
-                    "stride": s.stride,
-                    "pad": s.pad,
-                }
-                for s in self.conv_layers
-            ],
+            "conv_layers": [asdict(s) for s in self.conv_layers],
             "num_classes": self.num_classes,
         }
 
@@ -135,6 +126,10 @@ class ModelState:
     def copy(self) -> "ModelState":
         return copy.deepcopy(self)
 
+    def parameters(self) -> list[np.ndarray]:
+        """Every parameter array, in the order and shapes of param_shapes."""
+        return self.conv_weights + [self.fc_weight, self.fc_bias]
+
     def total_filters(self) -> int:
         return sum(s.out_channels for s in self.arch.conv_layers)
 
@@ -147,26 +142,24 @@ def all_keep_masks(arch: Architecture) -> list[np.ndarray]:
     return [np.ones(s.out_channels, dtype=bool) for s in arch.conv_layers]
 
 
+def param_shapes(arch: Architecture) -> list[tuple[int, ...]]:
+    """Shape of every parameter array of an arch model, in the order that init,
+    SGD, momentum and checkpoints share: each conv layer's (out, in, K, K),
+    then the classifier weight (classes, last out) and bias (classes,)."""
+    shapes = [(s.out_channels, s.in_channels, s.kernel, s.kernel) for s in arch.conv_layers]
+    return shapes + [(arch.num_classes, arch.conv_layers[-1].out_channels), (arch.num_classes,)]
+
+
 def build_model(arch: Architecture, seed: int) -> ModelState:
-    """Seeded uniform init on [-b, b] with b = sqrt(6 / (fan_in))."""
+    """Seeded uniform init of each weight on [-b, b] with b = sqrt(6 / fan_in),
+    fan_in being the product of its shape past the first axis; zero bias."""
     rng = np.random.default_rng(seed)
+    shapes = param_shapes(arch)
     weights = []
-    for spec in arch.conv_layers:
-        bound = math.sqrt(6.0 / (spec.in_channels * spec.kernel * spec.kernel))
-        weights.append(
-            rng.uniform(-bound, bound, size=(spec.out_channels, spec.in_channels, spec.kernel, spec.kernel))
-        )
-    last_out = arch.conv_layers[-1].out_channels
-    bound = math.sqrt(6.0 / last_out)
-    fc_w = rng.uniform(-bound, bound, size=(arch.num_classes, last_out))
-    fc_b = np.zeros(arch.num_classes)
-    return ModelState(
-        arch=arch,
-        conv_weights=weights,
-        masks=all_keep_masks(arch),
-        fc_weight=fc_w,
-        fc_bias=fc_b,
-    )
+    for shape in shapes[:-1]:
+        bound = math.sqrt(6.0 / math.prod(shape[1:]))
+        weights.append(rng.uniform(-bound, bound, size=shape))
+    return ModelState(arch, weights[:-1], all_keep_masks(arch), weights[-1], np.zeros(shapes[-1]))
 
 
 def flatten_filters(weights: np.ndarray) -> np.ndarray:
@@ -282,6 +275,7 @@ def compact(model: ModelState, masks: list[np.ndarray]) -> ModelState:
         new_specs.append(
             ConvSpec(in_ch, int(m.sum()), spec.kernel, spec.stride, spec.pad)
         )
+        # w[:, keep] copies, but not in C order: copy() makes forward's reshape a view
         new_weights.append(w.copy())
         prev_keep = m
     fc_w = model.fc_weight[:, prev_keep].copy()
@@ -363,7 +357,7 @@ def train_epoch(
 ) -> tuple[float, float]:
     """One seeded-shuffle pass of minibatch SGD. Mutates the model and the
     momentum buffers in place; velocity holds one array per parameter, in
-    the order conv layers, classifier weight, classifier bias.
+    the order of model.parameters().
 
     lr == 0 is allowed and leaves weights untouched (pure evaluation pass).
     Returns (mean loss, accuracy) over the epoch.
@@ -382,7 +376,7 @@ def train_epoch(
         correct += int((logits.argmax(axis=1) == yb).sum())
         if lr > 0:
             ops.sgd_step(
-                model.conv_weights + [model.fc_weight, model.fc_bias],
+                model.parameters(),
                 grads["conv"] + [grads["fc_weight"], grads["fc_bias"]],
                 velocity,
                 lr=lr,

@@ -48,7 +48,7 @@ def traced_peak_mb(fn, *args) -> float:
 
 def momentum_buffers(model):
     """Fresh SGD momentum buffers for train_epoch, in sgd_step order."""
-    return [np.zeros_like(p) for p in model.conv_weights + [model.fc_weight, model.fc_bias]]
+    return [np.zeros_like(p) for p in model.parameters()]
 
 
 def random_architecture(rng: np.random.Generator, max_layers=3, max_channels=8,

@@ -1,5 +1,5 @@
 """Test oracles: brute-force distances, one pair of filters (or one row of
-the distance matrix) at a time, for checking criteria.average_distance_scores,
+the distance matrix) at a time, for checking criteria.criterion_scores,
 the window-by-window patch matrix for checking ops.im2col, and a model pass
 that keeps every layer's input, pre-ReLU and post-ReLU arrays, with conv
 passes that each build their own patch matrix, for checking model.forward

@@ -15,7 +15,7 @@ import pytest
 from conftest import random_architecture
 from oracles import cosine_distance, minkowski_distance
 from prunelab import model as mdl, ops
-from prunelab.criteria import Criterion, average_distance_scores, lp_norm_scores, select_filters
+from prunelab.criteria import Criterion, criterion_scores, lp_norm_scores, select_filters
 from prunelab.experiment import ExperimentConfig, run_experiment
 from prunelab.flops import model_flops, theoretical_reduction
 from prunelab.model import build_model, forward, loss_and_gradients
@@ -118,7 +118,7 @@ def test_criterion_2_intro_example_oracle():
     """A=(1,1,1), B=(1.1,1,1), C=(0.5,0.3,0.2): l1 prunes C, Minkowski-1 AveD prunes A."""
     abc = np.array([[1.0, 1.0, 1.0], [1.1, 1.0, 1.0], [0.5, 0.3, 0.2]]).reshape(3, 3, 1, 1)
     l1 = lp_norm_scores(abc, 1)
-    aved = average_distance_scores(abc, Criterion("minkowski", 1))
+    aved = criterion_scores(abc, Criterion("minkowski", 1))
     ok = (
         select_filters(l1, 1 / 3) == [2]
         and select_filters(aved, 1 / 3) == [0]
@@ -143,7 +143,7 @@ def test_criterion_3_brute_force_equivalence():
         crit = [Criterion("minkowski", 1), Criterion("minkowski", 2), Criterion("cosine")][
             int(rng.integers(3))
         ]
-        fast = average_distance_scores(z, crit)
+        fast = criterion_scores(z, crit)
         flat = z.reshape(n, -1)
         slow = np.zeros(n)
         for j in range(n):

@@ -72,6 +72,13 @@ class TestExitCodes:
     def test_unknown_flag_rejected(self):
         assert run_cli("train", "--frobnicate").returncode == 2
 
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_negative_seed_is_usage_error(self, command, tmp_path):
+        res = run_cli(command, "--seed", "-1", cwd=tmp_path)
+        assert res.returncode == 2
+        assert "--seed" in res.stderr and "Traceback" not in res.stderr
+        assert not (tmp_path / "runs").exists()  # no training ran
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         res = run_cli("flops", tmp_path / "nope.ckpt")
         assert res.returncode == 1
@@ -108,6 +115,8 @@ class TestExitCodes:
         ({"arch": {**CIFAR_ARCH, "num_classes": 5}, "dataset": "cifar10:no-cifar-here",
           "meta_attribute": "top1_loss"}, "num_classes"),
         ({"criteria": []}, "criteria"),
+        ({"lr": float("inf")}, "lr"), ({"decay_factor": float("inf")}, "decay_factor"),
+        ({"weight_decay": float("inf")}, "weight_decay"), ({"seed": -1}, "seed"),
     ])
     def test_bad_config_value_is_runtime_error(self, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"
@@ -245,7 +254,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("field,values", [
         ("interval", ["1", "x"]), ("interval", ["1", "0"]), ("prune_rate", ["0.2", "1.5"]),
-        ("reference_initial", ["true", "maybe"]),
+        ("reference_initial", ["true", "maybe"]), ("lr", ["0.02", "inf"]),
     ])
     def test_bad_value_fails_before_any_run(self, tiny_cfg, field, values):
         res = run_cli("sweep", field, *values, "--seeds", "1", "--config", tiny_cfg)
@@ -328,3 +337,12 @@ class TestVisualize:
         res = run_cli("visualize", abc_checkpoint, img, "--layer", "0", "--out", out)
         assert res.returncode == 0, res.stderr
         assert len(list(out.glob("channel_*.pgm"))) == 3
+
+    def test_non_finite_image_is_runtime_error(self, abc_checkpoint, tmp_path):
+        img = tmp_path / "img.npy"
+        np.save(img, np.full((3, 4, 4), np.nan))
+        out = tmp_path / "maps"
+        res = run_cli("visualize", abc_checkpoint, img, "--out", out)
+        assert res.returncode == 1
+        assert "error:" in res.stderr and "img.npy" in res.stderr and "Traceback" not in res.stderr
+        assert not out.exists()

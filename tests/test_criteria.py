@@ -9,7 +9,6 @@ from oracles import cosine_distance, minkowski_distance, minkowski_matrix_by_row
 from prunelab import criteria
 from prunelab.criteria import (
     Criterion,
-    average_distance_scores,
     criterion_scores,
     lp_norm_scores,
     parse_criterion,
@@ -76,11 +75,11 @@ class TestAverageDistance:
     def test_identical_filters_all_zero(self):
         w = np.ones((4, 2, 2, 2))
         for crit in (Criterion("minkowski", 1), Criterion("minkowski", 2), Criterion("cosine")):
-            assert np.all(average_distance_scores(w, crit) == 0.0)
+            assert np.all(criterion_scores(w, crit) == 0.0)
 
     def test_abc_hand_computed(self):
         # pairwise L1: d(A,B)=0.1, d(A,C)=2.0, d(B,C)=2.1; divide sums by 3
-        scores = average_distance_scores(ABC, Criterion("minkowski", 1))
+        scores = criterion_scores(ABC, Criterion("minkowski", 1))
         assert scores == pytest.approx([2.1 / 3, 2.2 / 3, 4.1 / 3])
         assert scores.argmin() == 0  # A is the most replaceable
 
@@ -91,7 +90,7 @@ class TestAverageDistance:
         n = int(rng.integers(2, 12))
         w = rng.normal(size=(n, int(rng.integers(1, 4)), 3, 3))
         crit = Criterion(kind, p)
-        scores = average_distance_scores(w, crit)
+        scores = criterion_scores(w, crit)
         z = w.reshape(n, -1)
         expected = np.zeros(n)
         for j in range(n):
@@ -104,10 +103,6 @@ class TestAverageDistance:
                     expected[j] += cosine_distance(z[j], z[k])
         expected /= n
         assert np.max(np.abs(scores - expected)) < 1e-12
-
-    def test_norm_criterion_rejected(self):
-        with pytest.raises(ValueError, match="not a distance"):
-            average_distance_scores(ABC, Criterion("norm", 1))
 
     @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
     @pytest.mark.parametrize("n,d", [(3, 7), (5, 1), (8, 9), (16, 144), (33, 1000), (128, 1152)])
@@ -201,7 +196,7 @@ class TestSelectFilters:
         assert select_filters(lp_norm_scores(ABC, 1), 1 / 3) == [2]
 
     def test_abc_minkowski_aved_prunes_a(self):
-        scores = average_distance_scores(ABC, Criterion("minkowski", 1))
+        scores = criterion_scores(ABC, Criterion("minkowski", 1))
         assert select_filters(scores, 1 / 3) == [0]
 
     def test_ties_break_to_lower_index(self):
@@ -265,16 +260,16 @@ def test_norm_scores_scale_linearly_and_selection_is_invariant(w, c, p):
 @given(filter_banks, st.floats(0.1, 10))
 def test_cosine_aved_invariant_to_per_filter_rescale(w, c):
     crit = Criterion("cosine")
-    base = average_distance_scores(w, crit)
+    base = criterion_scores(w, crit)
     # positive per-filter rescaling keeps every direction, hence every score
     factors = 1.0 + (c - 1.0) * np.linspace(0.1, 1.0, w.shape[0])
-    rescaled = average_distance_scores(w * factors[:, None, None, None], crit)
+    rescaled = criterion_scores(w * factors[:, None, None, None], crit)
     assert np.allclose(rescaled, base, atol=1e-9)
 
 
 def test_minkowski_aved_not_scale_invariant():
     crit = Criterion("minkowski", 2)
-    base = average_distance_scores(ABC, crit)
-    scaled = average_distance_scores(3.0 * ABC, crit)
+    base = criterion_scores(ABC, crit)
+    scaled = criterion_scores(3.0 * ABC, crit)
     assert not np.allclose(scaled, base)
     assert np.allclose(scaled, 3.0 * base)

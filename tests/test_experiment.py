@@ -139,6 +139,8 @@ class TestConfig:
         ("decay_at", (0.5, 1.5)), ("decay_at", (-0.25, 0.5)),
         ("decay_factor", -1.0), ("decay_factor", float("nan")),
         ("weight_decay", -5e-4), ("weight_decay", float("nan")),
+        ("lr", float("inf")), ("decay_factor", float("inf")), ("weight_decay", float("inf")),
+        ("seed", -1),
     ])
     def test_training_value_out_of_range_named(self, key, value):
         with pytest.raises(ValueError, match=f"'{key}' must be"):
@@ -269,6 +271,14 @@ class TestGoldenBytes:
             "8ee41fb352c340e463d509943d710e2f4ce7d100e1fa8b39514b1d850c3d92ce",
             "17ecfc8c49c82ef5495c06c9807d642d97b176fddd1e30d076980ed48eaa2388",
             "c4241c2ecada61ae73ad558f1f05efff35dfa39bf39911205f56ad4ad22da284",
+        ),
+        # the last prune step falls after the last interval boundary, so the
+        # trailing partial interval's row follows the last epoch row
+        "trailing_interval": (
+            dict(epochs=5, interval=2),
+            "5a49043692d4e83c58acebb32ffcfb7facc31276bc90fc25c070ed3a32d70ae1",
+            "48d30d2c625ecb1c2ed96493267a3de3fda470fd63bf28a8ae4c37e21b088dd5",
+            "77af29b6fd1553a51f380f1e2682d6d339a11447af190d7838dcbf74474435ea",
         ),
     }
 

@@ -6,8 +6,9 @@ import pytest
 import oracles
 from conftest import ODD_SHAPES_ARCH, momentum_buffers, random_architecture, traced_peak_mb
 from prunelab import model as mdl, ops
+from prunelab.checkpoint import load_checkpoint, save_checkpoint
 from prunelab.data import gen_synthetic_dataset
-from prunelab.experiment import DEFAULT_ARCH
+from prunelab.experiment import DEFAULT_ARCH, ExperimentConfig, run_experiment
 from prunelab.model import Architecture, ConvSpec, build_model
 
 
@@ -150,6 +151,11 @@ class TestCompact:
         masks = candidate_prune(m, Criterion("norm", 1), rate=0.4)
         assert int(masks[0].sum()) == 6
         assert mdl.compact(m, masks).arch.conv_layers[0].out_channels == 6
+
+    def test_parameters_c_contiguous(self, small_model):
+        # w[:, keep] alone returns a copy whose layout is not C order
+        masks = [np.array([True, False, True, True]), np.array([True, True, False, True, True, False])]
+        assert all(p.flags.c_contiguous for p in mdl.compact(small_model, masks).parameters())
 
     def test_empty_layer_rejected(self, small_model):
         masks = [np.zeros(4, dtype=bool), small_model.masks[1]]
@@ -446,3 +452,60 @@ class TestHeldActivations:
         y = rng.integers(0, arch.num_classes, size=batch)
         mdl.loss_and_gradients(model, x[:2], y[:2])  # builds the cached gather indices
         assert traced_peak_mb(mdl.loss_and_gradients, model, x, y) <= bound
+
+
+class TestParamShapes:
+    """param_shapes is the one statement of which arrays a model has; the
+    model, the training loop's momentum buffers and a checkpoint follow it."""
+
+    ARCHS = [
+        pytest.param(Architecture.from_dict(DEFAULT_ARCH), id="default"),
+        pytest.param(Architecture.from_dict(ODD_SHAPES_ARCH), id="odd_shapes"),
+        pytest.param(WIDE_SELECT_ARCH, id="wide-select"),
+    ]
+
+    def test_default_arch_list(self):
+        assert mdl.param_shapes(Architecture.from_dict(DEFAULT_ARCH)) == [
+            (8, 1, 3, 3), (16, 8, 3, 3), (16, 16, 3, 3), (16, 16, 3, 3), (10, 16), (10,),
+        ]
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_model_arrays_follow(self, arch):
+        m = build_model(arch, seed=0)
+        params = m.parameters()
+        assert [p.shape for p in params] == mdl.param_shapes(arch)
+        expected = m.conv_weights + [m.fc_weight, m.fc_bias]
+        assert len(params) == len(expected) and all(p is e for p, e in zip(params, expected))
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_momentum_buffers_follow(self, arch, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def first_epoch(model, velocity, *args, **kwargs):
+            seen.append([(v.shape, bool(v.any())) for v in velocity])
+            raise Stop
+
+        monkeypatch.setattr(mdl, "train_epoch", first_epoch)
+        config = ExperimentConfig(arch=arch.to_dict(), image_size=arch.input_shape[1], n_train=8, n_eval=4)
+        with pytest.raises(Stop):
+            run_experiment(config)
+        assert seen == [[(shape, False) for shape in mdl.param_shapes(arch)]]
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_checkpoint_payload_follows(self, arch, tmp_path):
+        m = build_model(arch, seed=3)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        raw = path.read_bytes()
+        body = raw[12 + int(np.frombuffer(raw[8:12], dtype="<u4")[0]):]
+        loaded, _ = load_checkpoint(path)
+        offset = 0
+        for shape, p, q in zip(mdl.param_shapes(arch), m.parameters(), loaded.parameters(), strict=True):
+            n = math.prod(shape)
+            assert np.array_equal(np.frombuffer(body, "<f8", count=n, offset=8 * offset).reshape(shape), p)
+            assert q.shape == shape and np.array_equal(q, p)
+            offset += n
+        assert 8 * offset == len(body)
