@@ -197,11 +197,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     x = rng.normal(size=(3, *GRADCHECK_ARCH.input_shape))
     y = rng.integers(0, GRADCHECK_ARCH.num_classes, size=3)
     _, _, grads = mdl.loss_and_gradients(model, x, y)
-    params = [(f"conv{i}", w, g) for i, (w, g) in enumerate(zip(model.conv_weights, grads["conv"]))]
-    params += [("fc_weight", model.fc_weight, grads["fc_weight"]),
-               ("fc_bias", model.fc_bias, grads["fc_bias"])]
+    names = [f"conv{i}" for i in range(len(model.conv_weights))] + ["fc_weight", "fc_bias"]
     ok = True
-    for name, param, grad in params:
+    for name, param, grad in zip(names, model.parameters(), grads, strict=True):
         # finite_difference_grad nudges param in place, so the model sees each nudge
         numeric = ops.finite_difference_grad(lambda _: mdl.loss_and_gradients(model, x, y)[0], param)
         err = ops.max_relative_error(grad, numeric)
@@ -213,7 +211,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_visualize(args: argparse.Namespace) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    image = np.asarray(np.load(args.image), dtype=np.float64)
+    image = np.load(args.image)
+    if not isinstance(image, np.ndarray) or image.dtype.kind not in "biuf":
+        raise ValueError(f"{args.image}: image must be one real-valued array")
     if not np.isfinite(image).all():
         raise ValueError(f"{args.image}: image holds NaN or inf values")
     if image.ndim == 2:

@@ -259,7 +259,7 @@ def run_experiment(
                 train_acc=float(acc),
                 eval_top1=float(stats["top1"]),
                 eval_top5=float(stats["top5"]),
-                kappa=model.nonzero_filter_count(),
+                kappa=mdl.nonzero_filter_count(model.conv_weights),
                 masked_macs=flops.model_flops(model, model.masks).pruned_total,
             )
         )

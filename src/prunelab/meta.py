@@ -112,8 +112,7 @@ def _attribute_and_eval(
         weights = [np.where(keep[:, None, None, None], w, 0.0) for w, keep in zip(weights, masks)]
     if attribute == "mean_weight":
         return float(sum(w.sum() for w in weights) / sum(w.size for w in weights)), None
-    # sparsity: ModelState.nonzero_filter_count of the masked weights
-    return float(sum(int(np.any(w != 0, axis=(1, 2, 3)).sum()) for w in weights)), None
+    return float(mdl.nonzero_filter_count(weights)), None  # sparsity
 
 
 def candidate_prune(

@@ -12,9 +12,11 @@ channels of the next layer.
 Each activation is held once. The ReLU runs in place on the fresh conv
 output. Inference (forward, and so evaluate and selection trials) runs the
 conv stack layer by layer and caches nothing, so only the live layer's
-arrays exist. Training holds no float activation: it caches, per conv
-layer, a bool ReLU mask and the patch matrix, and backward frees each patch
-matrix before building that layer's input gradient.
+arrays exist. loss_and_gradients is the one training pass, forward and
+backward, and returns the gradients in the order of ModelState.parameters().
+It holds no float activation: its forward keeps, per conv layer, a bool ReLU
+mask and the patch matrix, and its backward frees each patch matrix before
+building that layer's input gradient.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ class Architecture:
                 )
         if self.num_classes < 2:
             raise ValueError(f"need >= 2 classes, got {self.num_classes}")
+        self.spatial_sizes()  # raises if a layer's output would be empty
 
     def spatial_sizes(self) -> list[tuple[int, int]]:
         """Output (H, W) after each conv layer."""
@@ -133,9 +136,10 @@ class ModelState:
     def total_filters(self) -> int:
         return sum(s.out_channels for s in self.arch.conv_layers)
 
-    def nonzero_filter_count(self) -> int:
-        """Sparsity level: number of filters with any nonzero weight."""
-        return sum(int(np.any(w != 0, axis=(1, 2, 3)).sum()) for w in self.conv_weights)
+
+def nonzero_filter_count(conv_weights: list[np.ndarray]) -> int:
+    """Sparsity level: number of filters with any nonzero weight."""
+    return sum(int(np.any(w != 0, axis=(1, 2, 3)).sum()) for w in conv_weights)
 
 
 def all_keep_masks(arch: Architecture) -> list[np.ndarray]:
@@ -177,32 +181,9 @@ def _as_batch(model: ModelState, batch: np.ndarray) -> np.ndarray:
     return x
 
 
-def _shape_stand_in(x: np.ndarray) -> np.ndarray:
-    """A zero-byte stand-in with x's shape, for a backward that reads only that."""
-    return np.broadcast_to(np.float64(0.0), x.shape)
-
-
-def _forward_activations(model: ModelState, batch: np.ndarray) -> tuple[list, np.ndarray]:
-    """Training forward: per-layer caches for loss_and_gradients, and logits.
-
-    A conv layer's cache is (input stand-in, relu_mask, cols): a zero-byte
-    stand-in with its input's shape (given cols, the conv backward reads
-    nothing else of the input), the bool mask pre_relu >= 0, taken before the
-    in-place ReLU so that soft-pruned filters (pre_relu == 0) still pass
-    gradient, and its im2col patch matrix, built once for forward and
-    backward. So no layer's float activation outlives the next layer's
-    forward. The last cache is (pooling input stand-in, pooled)."""
-    x = _as_batch(model, batch)
-    caches = []
-    for spec, w in zip(model.arch.conv_layers, model.conv_weights):
-        cols = ops.im2col(x, spec.kernel, spec.stride, spec.pad)
-        out = ops.conv2d_forward(x, w, spec.stride, spec.pad, cols=cols)
-        caches.append((_shape_stand_in(x), out >= 0, cols))
-        x = np.maximum(out, 0.0, out=out)
-    pooled = ops.global_avgpool_forward(x)
-    logits = ops.linear_forward(pooled, model.fc_weight, model.fc_bias)
-    caches.append((_shape_stand_in(x), pooled))
-    return caches, logits
+def _shape_stand_in(shape: tuple[int, ...]) -> np.ndarray:
+    """A zero-byte array of the given shape, for a backward that reads only that."""
+    return np.broadcast_to(np.float64(0.0), shape)
 
 
 def _conv_stack(model: ModelState, batch: np.ndarray, n_layers: int) -> np.ndarray:
@@ -316,31 +297,42 @@ def evaluate(model: ModelState, x: np.ndarray, y: np.ndarray, batch_size: int = 
 
 def loss_and_gradients(
     model: ModelState, x: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray, dict]:
-    """Cross-entropy loss, logits and gradients of every parameter.
+) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """Cross-entropy loss, logits, and the gradient of every parameter in the
+    order of model.parameters().
 
-    Gradient dict keys: "conv" (list per layer), "fc_weight", "fc_bias".
+    The forward keeps, per conv layer, its input's shape (given the patch
+    matrix, the conv backward reads nothing else of the input), the bool mask
+    out >= 0, taken before the in-place ReLU so that soft-pruned filters
+    (out == 0) still pass gradient, and its im2col patch matrix, built once
+    for forward and backward: no float activation outlives the next layer's
+    forward. The backward pops these lists, so each patch matrix reaches
+    conv2d_backward as its only reference and is freed before dcols.
     """
-    caches, logits = _forward_activations(model, x)
+    x = _as_batch(model, x)
+    shapes, relu_masks, patches = [], [], []
+    for spec, w in zip(model.arch.conv_layers, model.conv_weights):
+        patches.append(ops.im2col(x, spec.kernel, spec.stride, spec.pad))
+        out = ops.conv2d_forward(x, w, spec.stride, spec.pad, cols=patches[-1])
+        shapes.append(x.shape)
+        relu_masks.append(out >= 0)
+        x = np.maximum(out, 0.0, out=out)
+    pooled = ops.global_avgpool_forward(x)
+    logits = ops.linear_forward(pooled, model.fc_weight, model.fc_bias)
     loss, grad_logits = ops.softmax_cross_entropy(logits, y)
-    pooled_in, pooled = caches.pop()
-    grad_pooled, grad_fc_w, grad_fc_b = ops.linear_backward(
-        pooled, model.fc_weight, grad_logits
-    )
-    grad = ops.global_avgpool_backward(pooled_in, grad_pooled)
-    conv_grads: list[np.ndarray] = [None] * len(model.conv_weights)  # type: ignore
+    grad_pooled, grad_fc_w, grad_fc_b = ops.linear_backward(pooled, model.fc_weight, grad_logits)
+    grad = ops.global_avgpool_backward(x, grad_pooled)  # reads only x.shape
+    del x, out
+    grads = [grad_fc_w, grad_fc_b]
     for i in range(len(model.conv_weights) - 1, -1, -1):
-        xin, relu_mask = caches[i][:2]  # not cols: see the call below
-        grad = grad * relu_mask  # ReLU subgradient 1 at 0 (see _forward_activations)
+        grad = grad * relu_masks.pop()  # ReLU subgradient 1 at 0
         spec = model.arch.conv_layers[i]
-        # the popped patch matrix's only reference is the call's argument, so
-        # conv2d_backward frees it before building dcols; layer 0's input is
-        # the batch: its gradient has no consumer
-        grad, conv_grads[i] = ops.conv2d_backward(
-            xin, model.conv_weights[i], grad, spec.stride, spec.pad,
-            cols=caches.pop()[2], grad_input=i > 0,
+        # layer 0's input is the batch: its gradient has no consumer
+        grad, grad_w = ops.conv2d_backward(
+            _shape_stand_in(shapes.pop()), model.conv_weights[i], grad, spec.stride, spec.pad,
+            cols=patches.pop(), grad_input=i > 0,
         )
-    grads = {"conv": conv_grads, "fc_weight": grad_fc_w, "fc_bias": grad_fc_b}
+        grads.insert(0, grad_w)
     return loss, logits, grads
 
 
@@ -376,11 +368,7 @@ def train_epoch(
         correct += int((logits.argmax(axis=1) == yb).sum())
         if lr > 0:
             ops.sgd_step(
-                model.parameters(),
-                grads["conv"] + [grads["fc_weight"], grads["fc_bias"]],
-                velocity,
-                lr=lr,
-                momentum=momentum,
-                weight_decay=weight_decay,
+                model.parameters(), grads, velocity,
+                lr=lr, momentum=momentum, weight_decay=weight_decay,
             )
     return total_loss / n, correct / n

@@ -87,8 +87,9 @@ def forward_activations(model, batch: np.ndarray) -> tuple[list, np.ndarray, np.
     return layers, pooled, ops.linear_forward(pooled, model.fc_weight, model.fc_bias)
 
 
-def loss_and_gradients(model, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, dict]:
-    """model.loss_and_gradients through forward_activations."""
+def loss_and_gradients(model, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, list]:
+    """model.loss_and_gradients through forward_activations: gradients in
+    the order of model.parameters()."""
     layers, pooled, logits = forward_activations(model, x)
     loss, grad = ops.softmax_cross_entropy(logits, y)
     grad, grad_fc_w, grad_fc_b = ops.linear_backward(pooled, model.fc_weight, grad)
@@ -99,4 +100,4 @@ def loss_and_gradients(model, x: np.ndarray, y: np.ndarray) -> tuple[float, np.n
         spec = model.arch.conv_layers[i]
         grad = relu_backward(pre, grad)
         grad, conv_grads[i] = ops.conv2d_backward(xin, model.conv_weights[i], grad, spec.stride, spec.pad)
-    return loss, logits, {"conv": conv_grads, "fc_weight": grad_fc_w, "fc_bias": grad_fc_b}
+    return loss, logits, conv_grads + [grad_fc_w, grad_fc_b]

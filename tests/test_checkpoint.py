@@ -151,6 +151,12 @@ class TestHeaderArch:
         with pytest.raises(CheckpointError, match="'num_classes' must be an integer"):
             load_checkpoint(saved)
 
+    def test_collapsed_spatial_size_named(self, saved):
+        # layer 1 sees a 6x6 input padded to 8x8: a 9x9 kernel leaves nothing
+        rewrite_header(saved, lambda h: h["arch"]["conv_layers"][1].__setitem__("kernel", 9))
+        with pytest.raises(CheckpointError, match="spatial size collapsed"):
+            load_checkpoint(saved)
+
 
 def small_checkpoint_bytes() -> bytes:
     arch = Architecture((1, 6, 6), (ConvSpec(1, 2, 3, 1, 1), ConvSpec(2, 3, 3, 2, 1)), num_classes=2)

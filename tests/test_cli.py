@@ -117,6 +117,8 @@ class TestExitCodes:
         ({"criteria": []}, "criteria"),
         ({"lr": float("inf")}, "lr"), ({"decay_factor": float("inf")}, "decay_factor"),
         ({"weight_decay": float("inf")}, "weight_decay"), ({"seed": -1}, "seed"),
+        ({"image_size": 2, "arch": {"input_shape": [1, 2, 2], "num_classes": 10, "conv_layers": [
+            {"in_channels": 1, "out_channels": 4, "kernel": 3}]}}, "collapsed"),
     ])
     def test_bad_config_value_is_runtime_error(self, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"
@@ -346,3 +348,17 @@ class TestVisualize:
         assert res.returncode == 1
         assert "error:" in res.stderr and "img.npy" in res.stderr and "Traceback" not in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("name,save", [
+        ("img.npy", lambda p: np.save(p, np.full((3, 4, 4), 1 + 2j))),
+        ("img.npy", lambda p: np.save(p, np.full((3, 4, 4), "a"))),
+        ("img.npz", lambda p: np.savez(p, image=np.zeros((3, 4, 4)))),
+    ], ids=["complex", "string", "npz"])
+    def test_non_real_image_is_runtime_error(self, abc_checkpoint, tmp_path, name, save):
+        img = tmp_path / name
+        save(img)
+        out = tmp_path / "maps"
+        res = run_cli("visualize", abc_checkpoint, img, "--out", out)
+        assert res.returncode == 1
+        assert "error:" in res.stderr and name in res.stderr and "Traceback" not in res.stderr
+        assert "real-valued" in res.stderr and not out.exists()

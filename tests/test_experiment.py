@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import ODD_SHAPES_ARCH
-from prunelab import data as datamod, experiment, model as mdl
+from prunelab import data as datamod, experiment, model as mdl, ops
 from prunelab.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -94,6 +94,11 @@ class TestConfig:
             arch["input_shape"] = shape
             with pytest.raises(ValueError, match="'input_shape'"):
                 ExperimentConfig.from_dict({"arch": arch}).validate()
+        # a kernel larger than its padded input, before any data is built
+        arch = json.loads(json.dumps(TINY_ARCH))
+        arch["conv_layers"][1]["kernel"] = 11
+        with pytest.raises(ValueError, match="spatial size collapsed to 0x0"):
+            ExperimentConfig.from_dict({"arch": arch}).validate()
 
     @pytest.mark.parametrize("key", ["batch_size", "eval_batch_size", "n_train", "n_eval", "image_size"])
     def test_size_below_one_named(self, key, monkeypatch):
@@ -216,6 +221,19 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "wall_time_seconds" in manifest
         assert manifest["config"]["seed"] == 0
+
+    def test_default_run_work(self, monkeypatch):
+        # the calls a default run makes, pinned so that a refactor of the
+        # training pass or of selection cannot add or drop work unseen
+        counts = {}
+        for module, name in [(ops, "conv2d_forward"), (ops, "conv2d_backward"), (mdl, "evaluate")]:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        run_experiment(ExperimentConfig())
+        assert counts == {"conv2d_forward": 1864, "conv2d_backward": 1520, "evaluate": 43}
 
 
 class TestGoldenBytes:

@@ -301,7 +301,7 @@ class TestPatchMatrixReuse:
         _, _, grads = mdl.loss_and_gradients(small_model, x, y)
         _, _, expected = oracles.loss_and_gradients(small_model, x, y)
         for i in range(len(small_model.conv_weights) - 1, -1, -1):
-            assert np.array_equal(expected["conv"][i], grads["conv"][i])
+            assert np.array_equal(expected[i], grads[i])
 
 
 WIDE_TRAIN_ARCH = Architecture(  # perfbench's wide-train workload
@@ -350,10 +350,8 @@ class TestHeldActivations:
         loss, train_logits, grads = mdl.loss_and_gradients(model, x, y)
         exp_loss, exp_logits, expected = oracles.loss_and_gradients(model, x, y)
         assert loss == exp_loss and train_logits.tobytes() == exp_logits.tobytes()
-        for got, want in zip(grads["conv"], expected["conv"]):
+        for got, want in zip(grads, expected, strict=True):
             assert got.tobytes() == want.tobytes()
-        for key in ("fc_weight", "fc_bias"):
-            assert grads[key].tobytes() == expected[key].tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_architectures_match_oracle(self, seed):
@@ -381,8 +379,8 @@ class TestHeldActivations:
         y = rng.integers(0, arch.num_classes, size=6)
         _, _, grads = mdl.loss_and_gradients(model, x, y)
         _, _, expected = oracles.loss_and_gradients(model, x, y)
-        assert np.any(grads["conv"][1][5] != 0.0)
-        assert grads["conv"][1][5].tobytes() == expected["conv"][1][5].tobytes()
+        assert np.any(grads[1][5] != 0.0)
+        assert grads[1][5].tobytes() == expected[1][5].tobytes()
 
     @pytest.mark.parametrize("arch,batch", [
         pytest.param(Architecture.from_dict(DEFAULT_ARCH), 256, id="default-256"),
@@ -476,6 +474,15 @@ class TestParamShapes:
         assert [p.shape for p in params] == mdl.param_shapes(arch)
         expected = m.conv_weights + [m.fc_weight, m.fc_bias]
         assert len(params) == len(expected) and all(p is e for p, e in zip(params, expected))
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_gradients_follow(self, arch):
+        m = build_model(arch, seed=1)
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(2,) + arch.input_shape)
+        _, _, grads = mdl.loss_and_gradients(m, x, rng.integers(0, arch.num_classes, size=2))
+        assert all(isinstance(g, np.ndarray) for g in grads)
+        assert [g.shape for g in grads] == mdl.param_shapes(arch)
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_momentum_buffers_follow(self, arch, monkeypatch):
