@@ -1,6 +1,6 @@
 """Command line front door.
 
-Subcommands: train, sweep, analyze, flops, gradcheck, visualize.
+Subcommands: train, sweep, analyze, flops, gradcheck.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 Config precedence for train and sweep: flags beat the --config file beat
 defaults; a sweep's FIELD values and seeds beat all three.
@@ -19,7 +19,7 @@ import numpy as np
 from . import flops as flopsmod, meta, model as mdl, ops
 from .checkpoint import CheckpointError, load_checkpoint
 from .criteria import criterion_scores, parse_criterion, select_filters
-from .experiment import DEFAULT_CONFIG, ExperimentConfig, render_feature_maps, run_experiment
+from .experiment import DEFAULT_CONFIG, ExperimentConfig, run_experiment
 
 GRADCHECK_TOLERANCE = 1e-4
 # three conv layers covering padding, stride 2 and a 1x1 kernel
@@ -101,12 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every parameter gradient of a small model")
     p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("visualize", help="dump feature maps of one layer as PGM images")
-    p.add_argument("checkpoint", type=Path)
-    p.add_argument("image", type=Path, help=".npy image matching the model input shape")
-    p.add_argument("--layer", type=int, default=0)
-    p.add_argument("--out", type=Path, default=Path("feature_maps"))
     return parser
 
 
@@ -177,7 +171,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"layer {args.layer}  criterion {criterion.name}  rate {args.rate:g}")
     print("filter,score,prune")
     for j, s in enumerate(scores):
-        print(f"{j},{s!r},{int(j in prune)}")
+        print(f"{j},{float(s)!r},{int(j in prune)}")
     print(f"prune_indices: {' '.join(map(str, prune)) if prune else '-'}")
     return 0
 
@@ -209,20 +203,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_visualize(args: argparse.Namespace) -> int:
-    model, _ = load_checkpoint(args.checkpoint)
-    image = np.load(args.image)
-    if not isinstance(image, np.ndarray) or image.dtype.kind not in "biuf":
-        raise ValueError(f"{args.image}: image must be one real-valued array")
-    if not np.isfinite(image).all():
-        raise ValueError(f"{args.image}: image holds NaN or inf values")
-    if image.ndim == 2:
-        image = image[None]
-    paths = render_feature_maps(model, image, args.layer, args.out)
-    print(f"wrote {len(paths)} feature maps to {args.out}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -234,7 +214,6 @@ def main(argv: list[str] | None = None) -> int:
         "analyze": cmd_analyze,
         "flops": cmd_flops,
         "gradcheck": cmd_gradcheck,
-        "visualize": cmd_visualize,
     }
     try:
         return handlers[args.command](args)

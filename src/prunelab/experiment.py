@@ -1,5 +1,5 @@
 """Experiment orchestration: config, the prune-while-training loop (which
-owns the SGD momentum buffers), report emission, feature maps.
+owns the SGD momentum buffers), report emission.
 
 Reports come in two flavors written side by side:
   report.csv   one row per epoch and one per prune step (LF newlines,
@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__, data as datamod, flops, meta, model as mdl
 from .checkpoint import save_checkpoint
 from .criteria import DEFAULT_CRITERIA, Criterion, parse_criterion
-from .model import Architecture, ModelState
 
 CSV_COLUMNS = [
     "kind", "epoch", "step", "train_loss", "train_acc", "eval_top1", "eval_top5",
@@ -118,8 +117,8 @@ class ExperimentConfig:
         for name in self.criteria:
             parse_criterion(name)
 
-    def architecture(self) -> Architecture:
-        return Architecture.from_dict(self.arch)
+    def architecture(self) -> mdl.Architecture:
+        return mdl.Architecture.from_dict(self.arch)
 
     def criterion_objects(self) -> list[Criterion]:
         return [parse_criterion(n) for n in self.criteria]
@@ -358,39 +357,3 @@ def _prune_row(rec: meta.PruneStepRecord) -> str:
             "candidate_gaps": gaps,
         }
     )
-
-
-def write_pgm(path: str | Path, image: np.ndarray) -> None:
-    """Binary PGM (P5, maxval 255) from a 2-d uint8 array."""
-    image = np.asarray(image, dtype=np.uint8)
-    if image.ndim != 2:
-        raise ValueError(f"PGM needs a 2-d image, got shape {image.shape}")
-    h, w = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
-
-
-def render_feature_maps(
-    model: ModelState, image: np.ndarray, layer_index: int, out_dir: str | Path
-) -> list[Path]:
-    """One channel_<k>.pgm per output channel of the chosen conv layer.
-
-    Each map is min-max normalized independently; a constant map renders
-    all-zero (black) by convention, so pruned channels come out black.
-    """
-    maps = mdl.conv_feature_maps(model, image, layer_index)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for k in range(maps.shape[0]):
-        fm = maps[k]
-        lo, hi = float(fm.min()), float(fm.max())
-        if hi > lo:
-            img = np.round((fm - lo) / (hi - lo) * 255.0)
-        else:
-            img = np.zeros_like(fm)  # constant map convention: all black
-        p = out / f"channel_{k}.pgm"
-        write_pgm(p, img.astype(np.uint8))
-        paths.append(p)
-    return paths

@@ -106,6 +106,11 @@ class Architecture:
 
     @staticmethod
     def from_dict(d: dict) -> "Architecture":
+        if not isinstance(d, dict):
+            raise ValueError(f"arch must be a JSON object, got {type(d).__name__}")
+        unknown = sorted(map(str, set(d) - {f.name for f in fields(Architecture)}))
+        if unknown:
+            raise ValueError(f"unknown arch keys: {', '.join(unknown)}")
         try:
             return Architecture(
                 input_shape=tuple(d["input_shape"]),
@@ -132,9 +137,6 @@ class ModelState:
     def parameters(self) -> list[np.ndarray]:
         """Every parameter array, in the order and shapes of param_shapes."""
         return self.conv_weights + [self.fc_weight, self.fc_bias]
-
-    def total_filters(self) -> int:
-        return sum(s.out_channels for s in self.arch.conv_layers)
 
 
 def nonzero_filter_count(conv_weights: list[np.ndarray]) -> int:
@@ -188,7 +190,9 @@ def _shape_stand_in(shape: tuple[int, ...]) -> np.ndarray:
 
 def _conv_stack(model: ModelState, batch: np.ndarray, n_layers: int) -> np.ndarray:
     """Output of the first n_layers conv layers, one layer at a time with
-    nothing cached: only the live layer's input and output exist."""
+    nothing cached: only the live layer's input and output exist. forward
+    runs every layer; the one caller of a shallower depth is the per-layer
+    byte check in tests/test_model.py::TestHeldActivations."""
     x = _as_batch(model, batch)
     for spec, w in zip(model.arch.conv_layers[:n_layers], model.conv_weights):
         x = ops.conv2d_forward(x, w, spec.stride, spec.pad)
@@ -203,15 +207,6 @@ def forward(model: ModelState, batch: np.ndarray) -> np.ndarray:
     x = _conv_stack(model, batch, len(model.arch.conv_layers))
     pooled = ops.global_avgpool_forward(x)
     return ops.linear_forward(pooled, model.fc_weight, model.fc_bias)
-
-
-def conv_feature_maps(model: ModelState, image: np.ndarray, layer_index: int) -> np.ndarray:
-    """Post-activation feature maps of one conv layer for a single image (C, H, W)."""
-    if not 0 <= layer_index < len(model.arch.conv_layers):
-        raise ValueError(
-            f"layer_index {layer_index} out of range [0, {len(model.arch.conv_layers)})"
-        )
-    return _conv_stack(model, np.asarray(image)[None], layer_index + 1)[0]
 
 
 def check_masks(arch: Architecture, masks: list) -> list[np.ndarray]:
@@ -270,16 +265,22 @@ def compact(model: ModelState, masks: list[np.ndarray]) -> ModelState:
     )
 
 
-def evaluate(model: ModelState, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> dict:
-    """Loss plus top-1/top-5 accuracy over a labelled set."""
+# Fixed, not a parameter: the chunk sets each GEMM's row split, and so the
+# last bits of the logits and of every pinned report digest.
+EVAL_CHUNK = 256
+
+
+def evaluate(model: ModelState, x: np.ndarray, y: np.ndarray) -> dict:
+    """Loss plus top-1/top-5 accuracy over a labelled set, EVAL_CHUNK rows
+    per forward."""
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty evaluation set")
     losses = []
     top1 = 0
     top5 = 0
-    for start in range(0, n, batch_size):
-        xb, yb = x[start : start + batch_size], y[start : start + batch_size]
+    for start in range(0, n, EVAL_CHUNK):
+        xb, yb = x[start : start + EVAL_CHUNK], y[start : start + EVAL_CHUNK]
         logits = forward(model, xb)
         loss, _ = ops.softmax_cross_entropy(logits, yb)
         losses.append(loss * len(yb))

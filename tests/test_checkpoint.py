@@ -157,6 +157,15 @@ class TestHeaderArch:
         with pytest.raises(CheckpointError, match="spatial size collapsed"):
             load_checkpoint(saved)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h["arch"].__setitem__("pooling", "max"), "unknown arch keys: pooling$"),
+        (lambda h: h.__setitem__("arch", [1, 6, 6]), "arch must be a JSON object, got list$"),
+    ], ids=["extra_key", "list"])
+    def test_arch_not_the_three_keys_named(self, saved, edit, message):
+        rewrite_header(saved, edit)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(saved)
+
 
 def small_checkpoint_bytes() -> bytes:
     arch = Architecture((1, 6, 6), (ConvSpec(1, 2, 3, 1, 1), ConvSpec(2, 3, 3, 2, 1)), num_classes=2)

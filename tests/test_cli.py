@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +12,8 @@ import pytest
 
 from conftest import rewrite_header
 from prunelab import cli, ops
-from prunelab.checkpoint import save_checkpoint
+from prunelab.checkpoint import load_checkpoint, save_checkpoint
+from prunelab.criteria import criterion_scores, parse_criterion
 from prunelab.data import CIFAR_RECORD_BYTES
 from prunelab.experiment import ExperimentConfig, run_experiment
 from prunelab.model import Architecture, ConvSpec, build_model
@@ -119,6 +122,7 @@ class TestExitCodes:
         ({"weight_decay": float("inf")}, "weight_decay"), ({"seed": -1}, "seed"),
         ({"image_size": 2, "arch": {"input_shape": [1, 2, 2], "num_classes": 10, "conv_layers": [
             {"in_channels": 1, "out_channels": 4, "kernel": 3}]}}, "collapsed"),
+        ({"arch": {**ExperimentConfig().arch, "pooling": "max"}}, "pooling"),
     ])
     def test_bad_config_value_is_runtime_error(self, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"
@@ -282,6 +286,14 @@ class TestReadme:
             except SystemExit:
                 pytest.fail(f"README example does not parse: {line}")
 
+    def test_documented_subcommands_match_parser(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        names = list(sub.choices)
+        assert re.search(r"Subcommands: (.*)\.", cli.__doc__).group(1).split(", ") == names
+        row = re.search(r"\| `prunelab\.cli` \|.*interface:(.*)\|", README.read_text()).group(1)
+        assert re.findall(r"`(\w+)`", row) == names
+        assert {line.split()[1] for line in readme_cli_lines()} == set(names)
+
 
 class TestAnalyze:
     def test_l1_prunes_c(self, abc_checkpoint):
@@ -293,6 +305,17 @@ class TestAnalyze:
         res = run_cli("analyze", abc_checkpoint, "--criterion", "minkowski1", "--rate", "0.34")
         assert res.returncode == 0
         assert "prune_indices: 0" in res.stdout
+
+    @pytest.mark.parametrize("criterion", ["l2", "cosine"])
+    def test_score_column_is_plain_numbers(self, abc_checkpoint, criterion):
+        res = run_cli("analyze", abc_checkpoint, "--criterion", criterion)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        rows = lines[lines.index("filter,score,prune") + 1 : -1]
+        printed = np.array([float(row.split(",")[1]) for row in rows])
+        model, _ = load_checkpoint(abc_checkpoint)
+        expected = criterion_scores(model.conv_weights[0], parse_criterion(criterion))
+        assert printed.tobytes() == expected.tobytes()
 
     def test_output_is_stable(self, abc_checkpoint):
         a = run_cli("analyze", abc_checkpoint, "--criterion", "l2", "--rate", "0.34")
@@ -329,36 +352,3 @@ class TestGradcheck:
         lines = capsys.readouterr().out.splitlines()
         # a 1% error in every conv weight gradient fails each conv line only
         assert [l.endswith("[FAIL]") for l in lines] == [True, True, True, False, False]
-
-
-class TestVisualize:
-    def test_emits_one_pgm_per_channel(self, abc_checkpoint, tmp_path):
-        img = tmp_path / "img.npy"
-        np.save(img, np.random.default_rng(0).normal(size=(3, 4, 4)))
-        out = tmp_path / "maps"
-        res = run_cli("visualize", abc_checkpoint, img, "--layer", "0", "--out", out)
-        assert res.returncode == 0, res.stderr
-        assert len(list(out.glob("channel_*.pgm"))) == 3
-
-    def test_non_finite_image_is_runtime_error(self, abc_checkpoint, tmp_path):
-        img = tmp_path / "img.npy"
-        np.save(img, np.full((3, 4, 4), np.nan))
-        out = tmp_path / "maps"
-        res = run_cli("visualize", abc_checkpoint, img, "--out", out)
-        assert res.returncode == 1
-        assert "error:" in res.stderr and "img.npy" in res.stderr and "Traceback" not in res.stderr
-        assert not out.exists()
-
-    @pytest.mark.parametrize("name,save", [
-        ("img.npy", lambda p: np.save(p, np.full((3, 4, 4), 1 + 2j))),
-        ("img.npy", lambda p: np.save(p, np.full((3, 4, 4), "a"))),
-        ("img.npz", lambda p: np.savez(p, image=np.zeros((3, 4, 4)))),
-    ], ids=["complex", "string", "npz"])
-    def test_non_real_image_is_runtime_error(self, abc_checkpoint, tmp_path, name, save):
-        img = tmp_path / name
-        save(img)
-        out = tmp_path / "maps"
-        res = run_cli("visualize", abc_checkpoint, img, "--out", out)
-        assert res.returncode == 1
-        assert "error:" in res.stderr and name in res.stderr and "Traceback" not in res.stderr
-        assert "real-valued" in res.stderr and not out.exists()

@@ -10,12 +10,9 @@ from prunelab.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
     emit_report,
-    render_feature_maps,
     run_experiment,
-    write_pgm,
 )
 from prunelab.flops import FlopsReport, LayerFlops
-from prunelab.model import Architecture, ConvSpec, apply_mask, build_model
 
 TINY_ARCH = {
     "input_shape": [1, 8, 8],
@@ -99,6 +96,9 @@ class TestConfig:
         arch["conv_layers"][1]["kernel"] = 11
         with pytest.raises(ValueError, match="spatial size collapsed to 0x0"):
             ExperimentConfig.from_dict({"arch": arch}).validate()
+        # an extra key would be echoed into report.json as if it were honoured
+        with pytest.raises(ValueError, match="unknown arch keys: pooling$"):
+            ExperimentConfig.from_dict({"arch": {**TINY_ARCH, "pooling": "max"}}).validate()
 
     @pytest.mark.parametrize("key", ["batch_size", "eval_batch_size", "n_train", "n_eval", "image_size"])
     def test_size_below_one_named(self, key, monkeypatch):
@@ -207,7 +207,7 @@ class TestRunExperiment:
             s["out_channels"] - int(0.4 * s["out_channels"])
             for s in cfg.arch["conv_layers"]
         )
-        assert res["model"].total_filters() == expected
+        assert sum(s.out_channels for s in res["model"].arch.conv_layers) == expected
 
     def test_byte_identical_reports_and_checkpoints(self, tmp_path):
         cfg = tiny_config(seed=7)
@@ -345,50 +345,3 @@ class TestEmitReport:
         bundle = json.loads(text)
         assert json.loads(json.dumps(bundle)) == bundle
         assert set(bundle) == {"config", "epochs", "prune_steps", "flops"}
-
-
-class TestFeatureMaps:
-    def make_model(self):
-        arch = Architecture(
-            (1, 8, 8), (ConvSpec(1, 5, 3, 1, 1), ConvSpec(5, 6, 3, 1, 1)), num_classes=6
-        )
-        return build_model(arch, seed=3)
-
-    def test_one_file_per_channel(self, tmp_path):
-        m = self.make_model()
-        image = np.random.default_rng(0).normal(size=(1, 8, 8))
-        paths = render_feature_maps(m, image, 0, tmp_path)
-        assert len(paths) == 5
-        assert sorted(p.name for p in paths) == [f"channel_{k}.pgm" for k in range(5)]
-
-    def test_pruned_channel_renders_black(self, tmp_path):
-        m = self.make_model()
-        masks = [np.array([True, False, True, True, True]), m.masks[1]]
-        apply_mask(m, masks)
-        image = np.random.default_rng(1).normal(size=(1, 8, 8))
-        paths = render_feature_maps(m, image, 0, tmp_path)
-        raw = paths[1].read_bytes()
-        header_end = raw.index(b"255\n") + 4
-        assert set(raw[header_end:]) == {0}
-
-    def test_pgm_header_and_payload_size(self, tmp_path):
-        p = tmp_path / "x.pgm"
-        write_pgm(p, np.arange(12, dtype=np.uint8).reshape(3, 4))
-        raw = p.read_bytes()
-        assert raw.startswith(b"P5\n4 3\n255\n")
-        assert len(raw) == len(b"P5\n4 3\n255\n") + 12
-
-    def test_constant_map_is_black(self, tmp_path):
-        m = self.make_model()
-        # zero image + zero-ish first layer: constant(0) maps, convention black
-        for w in m.conv_weights:
-            w[:] = 0.0
-        paths = render_feature_maps(m, np.zeros((1, 8, 8)), 0, tmp_path)
-        for p in paths:
-            raw = p.read_bytes()
-            payload = raw[raw.index(b"255\n") + 4 :]
-            assert set(payload) == {0}
-
-    def test_bad_layer_index(self, tmp_path):
-        with pytest.raises(ValueError, match="layer_index"):
-            render_feature_maps(self.make_model(), np.zeros((1, 8, 8)), 9, tmp_path)

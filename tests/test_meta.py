@@ -54,7 +54,8 @@ class TestMetaAttribute:
     def test_sparsity_of_unpruned_model(self, tiny_setup):
         _, arch = tiny_setup
         m = build_model(arch, seed=2)
-        assert meta_attribute(m, None, None, "sparsity") == m.total_filters() == 11
+        total = sum(s.out_channels for s in m.arch.conv_layers)
+        assert meta_attribute(m, None, None, "sparsity") == total == 11
 
     def test_top5_rejected_below_six_classes(self):
         arch = Architecture((1, 6, 6), (ConvSpec(1, 4, 3, 1, 1),), num_classes=5)
@@ -362,7 +363,8 @@ class TestRunPruningTraining:
         _, arch = tiny_setup
         final, records, _ = self.run(arch, epochs=2, interval=2, prune_rate=0.0)
         assert len(records) == 1
-        assert final.total_filters() == sum(s.out_channels for s in arch.conv_layers)
+        total = sum(s.out_channels for s in final.arch.conv_layers)
+        assert total == sum(s.out_channels for s in arch.conv_layers)
         rep = flops.model_flops(final)
         assert rep.pruned_total == rep.baseline_total
 
@@ -387,7 +389,7 @@ class TestRunPruningTraining:
         expected = sum(
             s.out_channels - int(0.4 * s.out_channels) for s in arch.conv_layers
         )
-        assert final.total_filters() == expected
+        assert sum(s.out_channels for s in final.arch.conv_layers) == expected
         assert all(m.all() for m in final.masks)
 
     def test_pruned_filters_restart_from_rest(self, tiny_setup, monkeypatch):

@@ -346,7 +346,7 @@ class TestHeldActivations:
         assert mdl.forward(model, x).tobytes() == logits.tobytes()
         # a batch of one: a GEMM's bits may change when its rows are split
         for i, (_, _, post) in enumerate(oracles.forward_activations(model, x[:1])[0]):
-            assert mdl.conv_feature_maps(model, x[0], i).tobytes() == post[0].tobytes()
+            assert mdl._conv_stack(model, x[:1], i + 1)[0].tobytes() == post[0].tobytes()
         loss, train_logits, grads = mdl.loss_and_gradients(model, x, y)
         exp_loss, exp_logits, expected = oracles.loss_and_gradients(model, x, y)
         assert loss == exp_loss and train_logits.tobytes() == exp_logits.tobytes()
