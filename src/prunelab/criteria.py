@@ -180,7 +180,8 @@ def select_filters(scores: np.ndarray, prune_rate: float) -> list[int]:
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores contain non-finite values")
-    # tiny epsilon so rates like 1/3 on 3 filters floor to 1, not 0
-    n_prune = int(prune_rate * scores.shape[0] + 1e-9)
+    # tiny epsilon so rates like 1/3 on 3 filters floor to 1, not 0; the cap
+    # keeps a filter when the epsilon lifts a rate just under 1 to N
+    n_prune = min(int(prune_rate * scores.shape[0] + 1e-9), max(scores.shape[0] - 1, 0))
     order = np.argsort(scores, kind="stable")
     return sorted(int(i) for i in order[:n_prune])

@@ -10,7 +10,7 @@ a few dozen epochs. CIFAR-10 ingestion reads the canonical binary batches
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,6 @@ class Dataset:
     train_y: np.ndarray
     eval_x: np.ndarray
     eval_y: np.ndarray
-    num_classes: int
-    metadata: dict = field(default_factory=dict)
 
 
 def _stripe_images(
@@ -67,8 +65,6 @@ def gen_synthetic_dataset(
         train_y=train_y[order],
         eval_x=eval_x,
         eval_y=eval_y,
-        num_classes=classes,
-        metadata={"kind": "synthetic", "seed": seed, "image_size": image_size},
     )
 
 
@@ -91,7 +87,7 @@ def load_cifar10_binary(path: str | Path) -> Dataset:
     """Load CIFAR-10 from its binary-batches directory (or a single .bin file).
 
     Pixels are scaled to [0, 1] then normalized per channel with mean/std
-    computed on the training split; the constants land in metadata.
+    computed on the training split.
     """
     path = Path(path)
     if path.is_dir():
@@ -117,11 +113,4 @@ def load_cifar10_binary(path: str | Path) -> Dataset:
         train_y=train_y,
         eval_x=norm(eval_x) if len(eval_x) else eval_x,
         eval_y=eval_y,
-        num_classes=CIFAR_CLASSES,
-        metadata={
-            "kind": "cifar10",
-            "normalize_mean": mean.tolist(),
-            "normalize_std": std.tolist(),
-            "train_files": [f.name for f in train_files],
-        },
     )

@@ -29,7 +29,7 @@ from . import model as mdl
 from .criteria import Criterion, criterion_scores, minkowski_scores, select_filters
 from .model import ModelState
 
-META_ATTRIBUTES = ("top5_loss", "top1_loss", "mean_weight", "sparsity", "random")
+META_ATTRIBUTES = ("top5_loss", "top1_loss", "mean_weight", "random")
 
 
 @dataclass
@@ -87,8 +87,8 @@ def _attribute_and_eval(
 ) -> tuple[float, dict | None]:
     """meta_attribute of model once masks are applied (None: the model as it
     is), plus the model.evaluate result it came from, if any. The model is
-    not copied: the top-k losses evaluate mdl.compact(model, masks), and the
-    weight attributes read each layer through its mask, which holds the same
+    not copied: the top-k losses evaluate mdl.compact(model, masks), and
+    mean_weight reads each layer through its mask, which holds the same
     values as the masked model's weights."""
     if attribute not in META_ATTRIBUTES:
         raise ValueError(f"unknown meta-attribute {attribute!r}, expected one of {META_ATTRIBUTES}")
@@ -107,12 +107,10 @@ def _attribute_and_eval(
         if rng is None:
             raise ValueError("random meta-attribute needs an rng")
         return float(rng.uniform()), None
-    weights = model.conv_weights
+    weights = model.conv_weights  # mean_weight
     if masks is not None:
         weights = [np.where(keep[:, None, None, None], w, 0.0) for w, keep in zip(weights, masks)]
-    if attribute == "mean_weight":
-        return float(sum(w.sum() for w in weights) / sum(w.size for w in weights)), None
-    return float(mdl.nonzero_filter_count(weights)), None  # sparsity
+    return float(sum(w.sum() for w in weights) / sum(w.size for w in weights)), None
 
 
 def candidate_prune(

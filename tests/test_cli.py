@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import rewrite_header
-from prunelab import cli, ops
+from prunelab import cli, meta, ops
 from prunelab.checkpoint import load_checkpoint, save_checkpoint
-from prunelab.criteria import criterion_scores, parse_criterion
+from prunelab.criteria import DEFAULT_CRITERIA, criterion_scores, parse_criterion
 from prunelab.data import CIFAR_RECORD_BYTES
 from prunelab.experiment import ExperimentConfig, run_experiment
 from prunelab.model import Architecture, ConvSpec, build_model
@@ -123,6 +123,7 @@ class TestExitCodes:
         ({"image_size": 2, "arch": {"input_shape": [1, 2, 2], "num_classes": 10, "conv_layers": [
             {"in_channels": 1, "out_channels": 4, "kernel": 3}]}}, "collapsed"),
         ({"arch": {**ExperimentConfig().arch, "pooling": "max"}}, "pooling"),
+        ({"meta_attribute": "sparsity"}, "sparsity"),
     ])
     def test_bad_config_value_is_runtime_error(self, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"
@@ -130,6 +131,12 @@ class TestExitCodes:
         res = run_cli("train", "--config", path, "--out-dir", tmp_path / "run")
         assert res.returncode == 1
         assert "error:" in res.stderr and key in res.stderr and "Traceback" not in res.stderr
+
+    def test_unknown_meta_attribute_flag_is_usage_error(self, tmp_path):
+        res = run_cli("train", "--meta-attribute", "sparsity", "--epochs", "1", "--interval", "1",
+                      "--out-dir", tmp_path / "run")
+        assert res.returncode == 2
+        assert "sparsity" in res.stderr and not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key,value", [("kernel", 3.0), ("stride", True)])
     def test_non_integer_arch_field_is_runtime_error(self, tmp_path, key, value):
@@ -268,6 +275,13 @@ class TestSweep:
         assert "error:" in res.stderr and "Traceback" not in res.stderr
         assert res.stdout == ""
 
+    def test_unknown_meta_attribute_fails_before_any_run(self, tiny_cfg):
+        res = run_cli("sweep", "meta_attribute", "mean_weight", "sparsity", "--seeds", "1",
+                      "--config", tiny_cfg)
+        assert res.returncode == 1
+        assert "error:" in res.stderr and "sparsity" in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == ""
+
 
 def readme_cli_lines():
     text = README.read_text()
@@ -293,6 +307,18 @@ class TestReadme:
         row = re.search(r"\| `prunelab\.cli` \|.*interface:(.*)\|", README.read_text()).group(1)
         assert re.findall(r"`(\w+)`", row) == names
         assert {line.split()[1] for line in readme_cli_lines()} == set(names)
+
+    def test_documented_names_match_code(self):
+        text = " ".join(README.read_text().split())
+        criteria = re.search(r"Criterion names: (.*?)\. Meta-attributes:", text).group(1)
+        assert re.findall(r"`(\w+)`", criteria) == [c.name for c in DEFAULT_CRITERIA]
+        attributes = re.search(r"Meta-attributes: (.*?)\. Exit codes", text).group(1)
+        assert re.findall(r"`(\w+)`", attributes) == list(meta.META_ATTRIBUTES)
+        sweeps = [line for line in readme_cli_lines() if line.startswith("prunelab sweep meta_attribute ")]
+        assert sweeps
+        for line in sweeps:
+            values = cli.build_parser().parse_args(shlex.split(line, comments=True)[1:]).values
+            assert set(values) <= set(meta.META_ATTRIBUTES), line
 
 
 class TestAnalyze:

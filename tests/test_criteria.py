@@ -207,6 +207,12 @@ class TestSelectFilters:
         out = select_filters(rng.normal(size=20), 0.6)
         assert out == sorted(out) and len(set(out)) == len(out)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    def test_rate_just_under_one_keeps_a_filter(self, n):
+        # the floor's epsilon would lift these rates to N
+        for rate in (0.9999999995, 1 - 1e-12):
+            assert select_filters(np.arange(float(n)), rate) == list(range(n - 1))
+
     def test_rate_out_of_range(self):
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError, match="prune_rate"):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prunelab.data import (
+    CIFAR_CLASSES,
     CIFAR_IMAGE_SHAPE,
     CIFAR_RECORD_BYTES,
     gen_synthetic_dataset,
@@ -97,10 +98,8 @@ class TestCifarLoader:
         ds = load_cifar10_binary(tmp_path)
         assert ds.train_x.shape[0] == 20
         assert ds.eval_x.shape[0] == 4
-        assert "normalize_mean" in ds.metadata
-        assert len(ds.metadata["normalize_mean"]) == 3
 
-    def test_normalization_constants_recorded_and_applied(self, tmp_path):
+    def test_normalization_constants_applied(self, tmp_path):
         write_cifar_file(tmp_path / "data_batch_1.bin", 30, seed=4)
         ds = load_cifar10_binary(tmp_path)
         # per-channel standardization: zero mean, unit variance
@@ -164,4 +163,4 @@ def test_corrupted_cifar_directory_loads_or_is_rejected(name, edit):
     for x, y in ((ds.train_x, ds.train_y), (ds.eval_x, ds.eval_y)):
         assert len(y) >= 1 and x.shape == (len(y), *CIFAR_IMAGE_SHAPE)
         assert np.all(np.isfinite(x))
-        assert y.min() >= 0 and y.max() < ds.num_classes
+        assert y.min() >= 0 and y.max() < CIFAR_CLASSES

@@ -261,13 +261,7 @@ class TestGoldenBytes:
             "9075d9d2c25a565de292eaef0ed629e63fb1be11e394caf7b815dc304df802a2",
             "84c8202dbda0d158d59f700c07cb52070c1d51237620688fb13c4630919e1f8f",
         ),
-        # the weight attributes against the current (not the initial) model
-        "sparsity": (
-            dict(epochs=6, interval=1, meta_attribute="sparsity"),
-            "aae407f1b2136003830d6a010bb599c3f497afced2735bd0f1fd7431be1ffe54",
-            "cb1ff3b3fca10744433d7287b82cb9d3cc27c1a617ac2566d85a7aa7463d8421",
-            "580b39b2576782c35fafb0da4ca0101489bba2811ea2207fd6c4b9c41c7ac962",
-        ),
+        # mean_weight against the current (not the initial) model
         "mean_weight_current": (
             dict(seed=2, epochs=6, interval=1, meta_attribute="mean_weight"),
             "fb1ddc0b4044bd8063f118b8b43f8d7d00f75c95779c9b5f4afddf090532d777",

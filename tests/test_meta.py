@@ -51,12 +51,6 @@ class TestMetaAttribute:
             w[:] = 0.0
         assert meta_attribute(m, None, None, "mean_weight") == 0.0
 
-    def test_sparsity_of_unpruned_model(self, tiny_setup):
-        _, arch = tiny_setup
-        m = build_model(arch, seed=2)
-        total = sum(s.out_channels for s in m.arch.conv_layers)
-        assert meta_attribute(m, None, None, "sparsity") == total == 11
-
     def test_top5_rejected_below_six_classes(self):
         arch = Architecture((1, 6, 6), (ConvSpec(1, 4, 3, 1, 1),), num_classes=5)
         m = build_model(arch, seed=0)
@@ -107,6 +101,12 @@ class TestCandidatePrune:
             expected_pruned = int(0.4 * spec.out_channels)
             assert int((~mask).sum()) == expected_pruned
 
+    def test_rate_just_under_one_keeps_one_filter_per_layer(self, tiny_setup):
+        _, arch = tiny_setup
+        m = build_model(arch, seed=4)
+        for crit in DEFAULT_CRITERIA:
+            assert [int(mask.sum()) for mask in candidate_prune(m, crit, 1 - 1e-12)] == [1, 1]
+
 
 class TestSelectCriterion:
     def eval_batch(self, ds):
@@ -130,18 +130,6 @@ class TestSelectCriterion:
             m, x, y, list(DEFAULT_CRITERIA), 0.0, "top1_loss", np.random.default_rng(0)
         )
         assert all(g == 0.0 for g in record.candidate_gaps)
-        assert crit.name == DEFAULT_CRITERIA[0].name
-
-    def test_sparsity_degeneracy_selects_first(self, tiny_setup):
-        # equal rates give identical filter counts, so sparsity cannot
-        # distinguish candidates and the tie-break picks the first
-        ds, arch = tiny_setup
-        m = build_model(arch, seed=6)
-        x, y = self.eval_batch(ds)
-        crit, _, record = select_criterion(
-            m, x, y, list(DEFAULT_CRITERIA), 0.4, "sparsity", np.random.default_rng(0)
-        )
-        assert len(set(record.candidate_values)) == 1
         assert crit.name == DEFAULT_CRITERIA[0].name
 
     def test_no_side_effects_on_model(self, tiny_setup):
@@ -222,10 +210,10 @@ class TestDistinctCandidates:
         trial = mdl.apply_mask(m.copy(), masks)
         assert record.selected_eval == mdl.evaluate(trial, ds.eval_x[:24], ds.eval_y[:24])
 
-    @pytest.mark.parametrize("attribute", ["mean_weight", "sparsity"])
+    @pytest.mark.parametrize("attribute", ["mean_weight"])
     def test_weight_attributes_score_masked_copies(self, tiny_setup, monkeypatch, attribute):
-        # both count weights that compact drops: zeroed filters, and the input
-        # channels that feed from them
+        # mean_weight counts weights that compact drops: zeroed filters, and the
+        # input channels that feed from them
         _, arch = tiny_setup
         m = build_model(arch, seed=10)
         monkeypatch.setattr(mdl, "compact", None)
