@@ -168,7 +168,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     criterion = parse_criterion(args.criterion)
     scores = criterion_scores(model.conv_weights[args.layer], criterion)
     prune = select_filters(scores, args.rate)
-    print(f"layer {args.layer}  criterion {criterion.name}  rate {args.rate:g}")
+    print(f"layer {args.layer}  criterion {criterion.name}  rate {args.rate!r}")
     print("filter,score,prune")
     for j, s in enumerate(scores):
         print(f"{j},{float(s)!r},{int(j in prune)}")

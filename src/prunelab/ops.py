@@ -8,16 +8,20 @@ one entry of x at a time and restores it. Convolution uses the
 cross-correlation convention (no kernel flip).
 
 Both conv passes work on the im2col patch matrix of their input. A caller
-that runs forward and backward on the same input can build it once with
-im2col and hand it to both as `cols`; the results are bit-identical to
-building it inside each call, and the patch matrix is only read.
+that runs forward and backward on the same input can build it once and hand
+it to both as `cols`; the results are bit-identical to building it inside
+each call, and the patch matrix is only read. Given `cols`, a conv pass
+reads only the input's shape, so the input itself need not exist.
 
-im2col builds the patch matrix with one gather: the input is copied
-channel-last into a flat row per image with one extra 0.0 slot at the end,
-and a cached index (one per input shape, kernel, stride and pad) picks each
-patch entry from it, every padding tap from the zero slot. The gather only
-moves values, so the patch matrix, and every GEMM and artifact built on it,
-is bit-identical to slicing a zero-padded input window by window.
+im2col is two steps, which a caller may run apart. stage_rows copies the
+input channel-last into a flat row per image with one extra 0.0 slot at the
+end, optionally through the ReLU. gather_patches then picks each patch entry
+from those rows through a cached index (one per input shape, kernel, stride
+and pad), every padding tap from the zero slot. Run apart, the two steps
+let a caller hold at most two of a layer's input, staged rows, patch matrix
+and output at a time. The gather only moves values, so the patch matrix,
+and every GEMM and artifact built on it, is bit-identical to slicing a
+zero-padded input window by window.
 
 Conv inputs are batches in the (batch, channels, height, width) layout; a
 single image is a batch of one.
@@ -73,19 +77,42 @@ def _gather_index(c: int, h: int, w: int, kernel: int, stride: int, pad: int) ->
     return idx
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, H', W', C, K, K) patch matrix, a fresh C-contiguous
-    float64 array: one take through _gather_index from the channel-last copy
-    of x plus a zero slot (see the module docstring)."""
+def stage_rows(x: np.ndarray, relu: bool = False) -> np.ndarray:
+    """(B, C, H, W) -> (B, H*W*C + 1) staged rows, im2col's first step: each
+    image copied channel-last into one row with a 0.0 slot at its end. With
+    relu=True the copy is np.maximum(x, 0.0), the ReLU and the copy in one
+    pass."""
     b, c, h, w = x.shape
     n = h * w * c
-    flat = np.empty((b, n + 1))
-    flat[:, :n].reshape(b, h, w, c)[...] = x.transpose(0, 2, 3, 1)  # a view: splits each row
-    flat[:, n] = 0.0
+    rows = np.empty((b, n + 1))
+    dst = rows[:, :n].reshape(b, h, w, c)  # a view: splits each row
+    if relu:
+        np.maximum(x.transpose(0, 2, 3, 1), 0.0, out=dst)
+    else:
+        dst[...] = x.transpose(0, 2, 3, 1)
+    rows[:, n] = 0.0
+    return rows
+
+
+def gather_patches(
+    rows: np.ndarray, shape: tuple[int, ...], kernel: int, stride: int, pad: int
+) -> np.ndarray:
+    """im2col's second step: the (B, H', W', C, K, K) patch matrix of an input
+    of the given (B, C, H, W) shape, from its stage_rows, one take through
+    _gather_index. A fresh C-contiguous float64 array; rows is only read."""
+    b, c, h, w = shape
+    if rows.shape != (b, h * w * c + 1):
+        raise ValueError(f"rows shape {rows.shape} does not match staged input {tuple(shape)}")
     oh = conv_out_size(h, kernel, stride, pad)
     ow = conv_out_size(w, kernel, stride, pad)
     idx = _gather_index(c, h, w, kernel, stride, pad)
-    return flat.take(idx, axis=1).reshape(b, oh, ow, c, kernel, kernel)
+    return rows.take(idx, axis=1).reshape(b, oh, ow, c, kernel, kernel)
+
+
+def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
+    """(B, C, H, W) -> (B, H', W', C, K, K) patch matrix, a fresh C-contiguous
+    float64 array: gather_patches of stage_rows(x) (see the module docstring)."""
+    return gather_patches(stage_rows(x), x.shape, kernel, stride, pad)
 
 
 def _patch_matrix(
@@ -109,7 +136,9 @@ def conv2d_forward(
     """Cross-correlate input with a filter bank.
 
     x: (B, C_in, H, W); w: (C_out, C_in, K, K).
-    cols: optional im2col(x, K, stride, pad).
+    cols: optional im2col(x, K, stride, pad). When it is given, only x.shape
+    is read, as in conv2d_backward. The output is a (B, C_out, H', W') view
+    of channel-last memory.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -135,10 +164,13 @@ def conv2d_backward(
     cols: optional im2col(x, K, stride, pad). When it is given, only x.shape
     is read, so x may be a zero-byte stand-in such as
     np.broadcast_to(np.float64(0.0), shape). cols is read, never written, and
-    this call drops its reference after the weight-gradient GEMM: a caller
-    that passes its only reference frees the patch matrix before dcols, of
-    the same size, is built. With grad_input=False the input gradient is not
-    computed and comes back None.
+    this call drops its reference after the weight-gradient GEMM, and its
+    reference to grad_out after the dcols GEMM: a caller that passes its only
+    reference frees the patch matrix before dcols, of the same size, is
+    built, and grad_out before the padded input gradient is. grad_out in
+    channel-last memory (a conv output or global_avgpool_backward's result)
+    is read in place; any other layout is copied once. With grad_input=False
+    the input gradient is not computed and comes back None.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -162,6 +194,7 @@ def conv2d_backward(
     # buffer, adding the (i, j) terms in the same order as a channel-first one
     b, c, h, wd = x.shape
     dcols = (g2 @ w.reshape(w.shape[0], -1)).reshape(b, oh, ow, c, k, k)
+    del grad_out, g2
     grad_xp = np.zeros((b, h + 2 * pad, wd + 2 * pad, c))
     for i in range(k):
         for j in range(k):
@@ -205,15 +238,18 @@ def global_avgpool_forward(x: np.ndarray) -> np.ndarray:
 
 
 def global_avgpool_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Only x.shape is read, so x may be a zero-byte broadcast_to stand-in."""
+    """Only x.shape is read, so x may be a zero-byte broadcast_to stand-in.
+    The gradient is a (B, C, H, W) view of channel-last memory, the layout
+    of a conv output, so conv2d_backward reads it without a copy."""
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != x.shape[:2]:
         raise ValueError(
             f"global_avgpool_backward shape mismatch: grad {grad_out.shape} vs input {x.shape}"
         )
-    area = x.shape[2] * x.shape[3]
-    return np.broadcast_to(grad_out[:, :, None, None] / area, x.shape).copy()
+    b, c, h, w = x.shape
+    grad = np.broadcast_to((grad_out / (h * w))[:, None, None, :], (b, h, w, c))
+    return grad.copy().transpose(0, 3, 1, 2)
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -343,6 +343,14 @@ class TestAnalyze:
         expected = criterion_scores(model.conv_weights[0], parse_criterion(criterion))
         assert printed.tobytes() == expected.tobytes()
 
+    def test_header_prints_the_rate_exactly(self, abc_checkpoint):
+        # six significant digits would print a rate just under 1 as "rate 1",
+        # which --rate rejects
+        res = run_cli("analyze", abc_checkpoint, "--criterion", "l1", "--rate", "0.999999999999")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[0] == "layer 0  criterion l1  rate 0.999999999999"
+        assert "prune_indices: 0 2" in res.stdout  # N - 1 of 3 filters
+
     def test_output_is_stable(self, abc_checkpoint):
         a = run_cli("analyze", abc_checkpoint, "--criterion", "l2", "--rate", "0.34")
         b = run_cli("analyze", abc_checkpoint, "--criterion", "l2", "--rate", "0.34")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,16 +241,22 @@ class TestTrainEpoch:
 
 
 class TestPatchMatrixReuse:
-    """Training builds each conv layer's patch matrix once per batch and hands
-    it to backward; inference builds it inside the forward and drops it."""
+    """Every conv call gets its patch matrix from the caller: one staging and
+    one gather per conv layer per batch in training, where the patch matrix
+    goes on to the backward, and per forward in inference."""
 
     def spy(self, monkeypatch):
-        calls = {"im2col": 0, "forward_cols": [], "backward": [], "backward_x_shape": []}
-        im2col, forward, backward = ops.im2col, ops.conv2d_forward, ops.conv2d_backward
+        calls = {"stage": 0, "gather": 0, "forward_cols": [], "backward": [], "backward_x_shape": []}
+        stage, gather = ops.stage_rows, ops.gather_patches
+        forward, backward = ops.conv2d_forward, ops.conv2d_backward
 
-        def count_im2col(*args, **kwargs):
-            calls["im2col"] += 1
-            return im2col(*args, **kwargs)
+        def count_stage(*args, **kwargs):
+            calls["stage"] += 1
+            return stage(*args, **kwargs)
+
+        def count_gather(*args, **kwargs):
+            calls["gather"] += 1
+            return gather(*args, **kwargs)
 
         def spy_forward(*args, **kwargs):
             calls["forward_cols"].append(kwargs.get("cols") is not None)
@@ -261,7 +268,8 @@ class TestPatchMatrixReuse:
             calls["backward"].append((kwargs.get("cols") is not None, grad_x is None))
             return grad_x, grad_w
 
-        monkeypatch.setattr(ops, "im2col", count_im2col)
+        monkeypatch.setattr(ops, "stage_rows", count_stage)
+        monkeypatch.setattr(ops, "gather_patches", count_gather)
         monkeypatch.setattr(ops, "conv2d_forward", spy_forward)
         monkeypatch.setattr(ops, "conv2d_backward", spy_backward)
         return calls
@@ -275,7 +283,8 @@ class TestPatchMatrixReuse:
             rng=np.random.default_rng(0),
         )
         batches, layers = 3, len(small_model.conv_weights)
-        assert calls["im2col"] == batches * layers
+        assert calls["stage"] == batches * layers
+        assert calls["gather"] == batches * layers
         assert calls["forward_cols"] == [True] * (batches * layers)
         # backward runs last layer first; only layer 0 skips its input gradient
         assert calls["backward"] == [(True, False), (True, True)] * batches
@@ -288,11 +297,11 @@ class TestPatchMatrixReuse:
         mdl.loss_and_gradients(small_model, x, np.array([0, 1, 2]))
         assert calls["backward_x_shape"] == [(3, 4, 6, 6), (3, 1, 6, 6)]
 
-    def test_inference_builds_inside_forward(self, small_model, monkeypatch):
+    def test_inference_gathers_once_per_layer(self, small_model, monkeypatch):
         calls = self.spy(monkeypatch)
         mdl.evaluate(small_model, np.zeros((5, 1, 6, 6)), np.zeros(5, dtype=int))
-        assert calls["forward_cols"] == [False, False]
-        assert calls["im2col"] == 2 and calls["backward"] == []
+        assert calls["forward_cols"] == [True, True]
+        assert calls["stage"] == 2 and calls["gather"] == 2 and calls["backward"] == []
 
     def test_gradients_match_unshared_backward(self, small_model):
         # the same gradients as conv passes that each build their own patch matrix
@@ -335,10 +344,11 @@ def layer_sizes(arch: Architecture, batch: int) -> list[dict]:
 
 
 class TestHeldActivations:
-    """forward holds one layer at a time; training holds no float activation,
-    only a bool ReLU mask and a patch matrix per layer, and frees each patch
-    matrix before its layer's input gradient; both give the three-array
-    pass's bytes."""
+    """forward holds one layer at a time, and at most two of its input,
+    staged rows, patch matrix and output; training holds no float
+    activation, only a bool ReLU mask and a patch matrix per layer, and
+    frees each patch matrix before its layer's input gradient; both give the
+    three-array pass's bytes."""
 
     @staticmethod
     def check_against_oracle(model, x, y):
@@ -391,6 +401,23 @@ class TestHeldActivations:
         # per image), patch matrix and output
         bound = max(
             (2 * s["input"] + batch + s["cols"] + s["output"]) * 8 for s in layer_sizes(arch, batch)
+        ) / 1e6 + 1.0
+        model = build_model(arch, seed=0)
+        x = np.random.default_rng(0).normal(size=(batch,) + arch.input_shape)
+        mdl.forward(model, x[:1])  # builds the cached gather indices
+        assert traced_peak_mb(mdl.forward, model, x) <= bound
+
+    @pytest.mark.parametrize("arch,batch", [
+        pytest.param(Architecture.from_dict(DEFAULT_ARCH), 256, id="default-256"),
+        pytest.param(WIDE_TRAIN_ARCH, 64, id="wide-train-64"),
+    ])
+    def test_forward_peak_is_one_working_set(self, arch, batch):
+        # the largest of a layer's three working sets: input and its staged
+        # rows (one extra slot per image), rows and patch matrix, patch
+        # matrix and output
+        bound = max(
+            max(2 * s["input"] + batch, s["input"] + batch + s["cols"], s["cols"] + s["output"]) * 8
+            for s in layer_sizes(arch, batch)
         ) / 1e6 + 1.0
         model = build_model(arch, seed=0)
         x = np.random.default_rng(0).normal(size=(batch,) + arch.input_shape)
@@ -450,6 +477,40 @@ class TestHeldActivations:
         y = rng.integers(0, arch.num_classes, size=batch)
         mdl.loss_and_gradients(model, x[:2], y[:2])  # builds the cached gather indices
         assert traced_peak_mb(mdl.loss_and_gradients, model, x, y) <= bound
+
+    @pytest.mark.parametrize("arch", [
+        pytest.param(WIDE_TRAIN_ARCH, id="wide-train"),
+        pytest.param(WIDE_SELECT_ARCH, id="wide-select"),
+    ])
+    def test_training_forward_holds_no_input(self, arch, monkeypatch):
+        # the forward phase, up to the loss: every layer's bool ReLU mask,
+        # the patch matrices so far, and the live layer's staged rows or its
+        # output, never its input beside them. While an output is staged for
+        # the next layer, output and rows sit within that layer's term: its
+        # patch matrix is at least the output's size on these archs
+        batch = 32
+        sizes = layer_sizes(arch, batch)
+        forward = [
+            sum(t["cols"] for t in sizes[: i + 1]) + max(s["input"] + batch, s["output"])
+            for i, s in enumerate(sizes)
+        ]
+        masks = sum(s["output"] for s in sizes)
+        bound = (masks + 8 * max(forward)) / 1e6 + 1.0
+        model = build_model(arch, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(batch,) + arch.input_shape)
+        y = rng.integers(0, arch.num_classes, size=batch)
+        mdl.loss_and_gradients(model, x[:2], y[:2])  # builds the cached gather indices
+        at_loss = []
+        loss_fn = ops.softmax_cross_entropy
+
+        def note_peak(*args):
+            at_loss.append(tracemalloc.get_traced_memory()[1] / 1e6)
+            return loss_fn(*args)
+
+        monkeypatch.setattr(ops, "softmax_cross_entropy", note_peak)
+        traced_peak_mb(mdl.loss_and_gradients, model, x, y)
+        assert at_loss[0] <= bound
 
 
 class TestParamShapes:

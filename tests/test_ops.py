@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ODD_SHAPES_ARCH
 from oracles import im2col_by_windows, relu_backward, relu_forward
 from prunelab import ops
+from prunelab.model import Architecture
 
 
 class TestConvForward:
@@ -165,6 +167,16 @@ class TestPatchMatrixHandoff:
         got = ops.global_avgpool_backward(stand_in, g)
         assert got.tobytes() == ops.global_avgpool_backward(x, g).tobytes()
 
+    def test_avgpool_backward_channel_last_bytes_equal(self):
+        # channel-last memory, so a conv backward's g2 of it is a view; the
+        # values are those of the channel-first broadcast copy
+        rng = np.random.default_rng(7)
+        g = rng.normal(size=(3, 4))
+        got = ops.global_avgpool_backward(np.broadcast_to(np.float64(0.0), (3, 4, 5, 2)), g)
+        want = np.broadcast_to(g[:, :, None, None] / 10, (3, 4, 5, 2)).copy()
+        assert got.tobytes() == want.tobytes()
+        assert got.transpose(0, 2, 3, 1).flags.c_contiguous
+
     def test_skipped_input_gradient(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 2, 5, 5))
@@ -224,6 +236,28 @@ class TestIm2col:
         x = big[::2, 1::3, ::-1, 2:9]  # (2, 3, 9, 7), no unit stride
         assert not x.flags.c_contiguous and not x.flags.f_contiguous
         self.assert_bytes_equal(x, 3, stride, pad)
+
+    def test_relu_staged_gather_bytes_equal(self):
+        # a model's path between conv layers: the ReLU writes the staged rows
+        # straight from a conv output's channel-last memory; the gather from
+        # them equals im2col of the ReLU'd activation, -0.0 included
+        arch = Architecture.from_dict(ODD_SHAPES_ARCH)
+        rng = np.random.default_rng(11)
+        h, w = arch.input_shape[1:]
+        for spec, (oh, ow) in zip(arch.conv_layers, arch.spatial_sizes()):
+            k, stride, pad = spec.kernel, spec.stride, spec.pad
+            x = rng.normal(size=(3, h, w, spec.in_channels)).transpose(0, 3, 1, 2)
+            x[0, 0, 0, 0] = -0.0
+            x[1, -1, -1, -1] = 0.0
+            rows = ops.stage_rows(x, relu=True)
+            got = ops.gather_patches(rows, x.shape, k, stride, pad)
+            assert got.tobytes() == ops.im2col(np.maximum(x, 0.0), k, stride, pad).tobytes(), spec
+            h, w = oh, ow
+
+    def test_wrong_rows_shape_rejected(self):
+        x = np.zeros((2, 3, 5, 5))
+        with pytest.raises(ValueError, match="rows shape"):
+            ops.gather_patches(ops.stage_rows(x), (2, 3, 5, 4), 3, 1, 1)
 
     def test_index_cached_and_read_only(self):
         x = np.random.default_rng(4).normal(size=(2, 5, 6, 4))
