@@ -89,6 +89,10 @@ class ExperimentConfig:
             )
         if not 0 <= self.prune_rate < 1:
             raise ValueError(f"prune_rate must be in [0, 1), got {self.prune_rate}")
+        if self.dataset != "synthetic" and not self.dataset.startswith("cifar10:"):
+            raise ValueError(
+                f"unknown dataset spec {self.dataset!r}: use 'synthetic' or 'cifar10:<path>'"
+            )
         if self.meta_attribute not in meta.META_ATTRIBUTES:
             raise ValueError(
                 f"meta_attribute must be one of {meta.META_ATTRIBUTES}, got {self.meta_attribute!r}"
@@ -205,7 +209,10 @@ def run_experiment(
     Loop: train `interval` epochs -> select criterion -> apply masks.
     A trailing partial interval still gets a final selection, so the run
     always ends selection -> apply_mask -> compact.
-    Returns {"model", "records", "reports", "flops", "files"}.
+    Returns {"model", "records", "reports", "final_eval", "flops", "files"}.
+    final_eval is the model.evaluate result, on the run's evaluation batch,
+    of the model after its last prune step, so its top-1 and top-5 are the
+    returned model's; reports[-1] comes before a trailing step.
     """
     config.validate()
     t0 = time.perf_counter()
@@ -227,10 +234,9 @@ def run_experiment(
     records: list[meta.PruneStepRecord] = []
     reports: list[EpochReport] = []
 
-    def prune_step(epoch: int) -> dict | None:
-        """Select and apply one criterion's masks; returns the selected
-        trial's model.evaluate result, whose top-1/top-5 are now the
-        model's, if selection ran one."""
+    def prune_step(epoch: int) -> dict:
+        """Select and apply one criterion's masks; returns the pruned model's
+        model.evaluate result, the selected trial's if selection ran one."""
         _, masks, record = meta.select_criterion(
             model, eval_x, eval_y, candidates, config.prune_rate,
             config.meta_attribute, rng, step=len(records) + 1, epoch=epoch,
@@ -240,7 +246,7 @@ def run_experiment(
         for v, m in zip(velocity, masks):  # a pruned filter restarts from rest
             v[~m] = 0.0
         records.append(record)
-        return record.selected_eval
+        return record.selected_eval or mdl.evaluate(model, eval_x, eval_y)
 
     for epoch in range(1, config.epochs + 1):
         loss, acc = mdl.train_epoch(
@@ -248,9 +254,7 @@ def run_experiment(
             lr=lr_at(epoch), momentum=config.momentum,
             weight_decay=config.weight_decay, batch_size=config.batch_size, rng=rng,
         )
-        stats = prune_step(epoch) if epoch % config.interval == 0 else None
-        if stats is None:
-            stats = mdl.evaluate(model, eval_x, eval_y)
+        stats = prune_step(epoch) if epoch % config.interval == 0 else mdl.evaluate(model, eval_x, eval_y)
         reports.append(
             EpochReport(
                 epoch=epoch,
@@ -263,7 +267,7 @@ def run_experiment(
             )
         )
     if config.epochs % config.interval != 0:
-        prune_step(config.epochs)
+        stats = prune_step(config.epochs)
     final = mdl.compact(model, model.masks)
     flops_report = flops.model_flops(model, model.masks)
 
@@ -288,6 +292,7 @@ def run_experiment(
         "model": final,
         "records": records,
         "reports": reports,
+        "final_eval": stats,
         "flops": flops_report,
         "files": files,
     }

@@ -9,18 +9,19 @@ shapes, so later gradient steps can revive a pruned filter. Hard pruning
 (compact) physically removes pruned output channels and the matching input
 channels of the next layer.
 
-Each activation is held once, and between conv layers only as the next
-layer's staged rows (ops.stage_rows), which the ReLU writes straight from
-the conv output; the last layer's ReLU runs in place, for pooling. Every
-conv call gets its patch matrix from the caller, one gather per layer.
-Inference (forward, and so evaluate and selection trials) runs the conv
-stack layer by layer, caches nothing and drops each array once used, so a
-layer holds at most two of its input, staged rows, patch matrix and
-output. loss_and_gradients is the one training pass, forward and backward,
-and returns the gradients in the order of ModelState.parameters(). It holds
-no float activation: its forward keeps, per conv layer, a bool ReLU mask
-and the patch matrix, and its backward frees each patch matrix before dcols
-and each incoming gradient before that layer's padded input gradient.
+One loop, _conv_stack, runs the conv layers for both passes, one layer at
+a time. Between conv layers the activation exists only as the next layer's
+staged rows (ops.stage_rows), which the ReLU writes straight from the conv
+output; the last layer's ReLU runs in place, for pooling. Each layer gathers
+its patch matrix once and hands it to its conv call, and every array is
+dropped once used, so a layer holds at most two of its input, staged rows,
+patch matrix and output. Inference (forward, and so evaluate and selection
+trials) keeps nothing more. loss_and_gradients is the one training pass,
+forward and backward, and returns the gradients in the order of
+ModelState.parameters(). It holds no float activation: per conv layer it
+keeps a bool ReLU mask and the patch matrix, and its backward frees each
+patch matrix before dcols and each incoming gradient before that layer's
+padded input gradient.
 """
 
 from __future__ import annotations
@@ -192,23 +193,24 @@ def _shape_stand_in(shape: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(np.float64(0.0), shape)
 
 
-def _conv_stack(model: ModelState, batch: np.ndarray, n_layers: int) -> np.ndarray:
-    """Output of the first n_layers conv layers (n_layers >= 1), one layer at
-    a time with nothing cached. Between layers the activation exists only as
-    the next layer's staged rows, which the ReLU writes straight from the
-    conv output; each array is dropped once used, so a layer holds at most
-    two of input, rows, patch matrix and output. The last layer's ReLU runs
-    in place. forward runs every layer; the one caller of a shallower depth
-    is the per-layer byte check in tests/test_model.py::TestHeldActivations."""
+def _conv_stack(
+    model: ModelState, batch: np.ndarray, saved: tuple[list, list] | None = None
+) -> np.ndarray:
+    """ReLU output of the last conv layer. With saved, a pair of lists, it
+    appends each layer's bool mask out >= 0 to the first and its patch matrix
+    to the second."""
     x = _as_batch(model, batch)
     shape, rows = x.shape, ops.stage_rows(x)
-    specs = model.arch.conv_layers[:n_layers]
-    for i, (spec, w) in enumerate(zip(specs, model.conv_weights)):
+    last = len(model.arch.conv_layers) - 1
+    for i, (spec, w) in enumerate(zip(model.arch.conv_layers, model.conv_weights)):
         cols = ops.gather_patches(rows, shape, spec.kernel, spec.stride, spec.pad)
         del rows
         out = ops.conv2d_forward(_shape_stand_in(shape), w, spec.stride, spec.pad, cols=cols)
+        if saved is not None:
+            saved[0].append(out >= 0)
+            saved[1].append(cols)
         del cols
-        if i == len(specs) - 1:
+        if i == last:
             return np.maximum(out, 0.0, out=out)
         shape, rows = out.shape, ops.stage_rows(out, relu=True)
         del out
@@ -216,8 +218,8 @@ def _conv_stack(model: ModelState, batch: np.ndarray, n_layers: int) -> np.ndarr
 
 def forward(model: ModelState, batch: np.ndarray) -> np.ndarray:
     """Batch (B, C, H, W) -> logits (B, num_classes). The inference path: it
-    keeps no caches and runs _conv_stack over every layer."""
-    x = _conv_stack(model, batch, len(model.arch.conv_layers))
+    keeps no caches."""
+    x = _conv_stack(model, batch)
     pooled = ops.global_avgpool_forward(x)
     return ops.linear_forward(pooled, model.fc_weight, model.fc_bias)
 
@@ -315,49 +317,35 @@ def loss_and_gradients(
     """Cross-entropy loss, logits, and the gradient of every parameter in the
     order of model.parameters().
 
-    The forward keeps, per conv layer, a zero-byte stand-in of its input
-    (given the patch matrix, the conv passes read only its shape), the bool mask
-    out >= 0, taken before the ReLU so that soft-pruned filters (out == 0)
-    still pass gradient, and its patch matrix, gathered once for forward and
-    backward. As in _conv_stack, the activation between layers exists only
-    as the next layer's staged rows, so no float activation is held. The
-    backward pops these lists, so each patch matrix and each masked gradient
-    reaches conv2d_backward as its only reference: the patch matrix is freed
-    before dcols, the gradient before the padded input gradient.
+    The ReLU masks are taken before the ReLU, so that soft-pruned filters
+    (out == 0) still pass gradient. The backward pops the forward's lists,
+    so each patch matrix and each masked gradient reaches conv2d_backward as
+    its only reference. Given the patch matrix, the conv backward reads only
+    its input's shape, which a zero-byte stand-in carries.
     """
-    x = _as_batch(model, x)
-    shape, rows = x.shape, ops.stage_rows(x)
-    inputs, relu_masks, patches = [], [], []
-    last = len(model.arch.conv_layers) - 1
-    for i, (spec, w) in enumerate(zip(model.arch.conv_layers, model.conv_weights)):
-        patches.append(ops.gather_patches(rows, shape, spec.kernel, spec.stride, spec.pad))
-        del rows
-        inputs.append(_shape_stand_in(shape))
-        out = ops.conv2d_forward(inputs[-1], w, spec.stride, spec.pad, cols=patches[-1])
-        relu_masks.append(out >= 0)
-        if i < last:
-            shape, rows = out.shape, ops.stage_rows(out, relu=True)
-            del out
-    x = np.maximum(out, 0.0, out=out)
+    relu_masks, patches = [], []
+    x = _conv_stack(model, x, (relu_masks, patches))
     pooled = ops.global_avgpool_forward(x)
     logits = ops.linear_forward(pooled, model.fc_weight, model.fc_bias)
     loss, grad_logits = ops.softmax_cross_entropy(logits, y)
     grad_pooled, grad_fc_w, grad_fc_b = ops.linear_backward(pooled, model.fc_weight, grad_logits)
     # a one-item list: once popped, nothing else holds the gradient
     grad = [ops.global_avgpool_backward(x, grad_pooled)]  # reads only x.shape
-    del x, out
+    del x
     grads = [grad_fc_w, grad_fc_b]
-    for i in range(last, -1, -1):
+    for i in reversed(range(len(model.arch.conv_layers))):
         spec = model.arch.conv_layers[i]
-        # The masked gradient (ReLU subgradient 1 at 0) is a temporary, so
-        # conv2d_backward holds its only reference. It is not masked in
-        # place: below the top layer the gradient is a strided slice of a
-        # padded buffer, while the product is channel-last memory that
-        # conv2d_backward reads without a copy. Layer 0's input is the
-        # batch: its gradient has no consumer.
+        # The input's shape is the output shape of the layer below, read
+        # before the pop; layer 0's input is the batch, whose gradient has no
+        # consumer. The masked gradient (ReLU subgradient 1 at 0) is a
+        # temporary, so conv2d_backward holds its only reference. It is not
+        # masked in place: below the top layer the gradient is a strided
+        # slice of a padded buffer, while the product is channel-last memory
+        # that conv2d_backward reads without a copy.
+        below = relu_masks[i - 1].shape if i else (len(logits),) + model.arch.input_shape
         grad_x, grad_w = ops.conv2d_backward(
-            inputs.pop(), model.conv_weights[i], grad.pop() * relu_masks.pop(), spec.stride, spec.pad,
-            cols=patches.pop(), grad_input=i > 0,
+            _shape_stand_in(below), model.conv_weights[i], grad.pop() * relu_masks.pop(),
+            spec.stride, spec.pad, cols=patches.pop(), grad_input=i > 0,
         )
         grad.append(grad_x)
         del grad_x

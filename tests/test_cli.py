@@ -15,8 +15,8 @@ from prunelab import cli, meta, ops
 from prunelab.checkpoint import load_checkpoint, save_checkpoint
 from prunelab.criteria import DEFAULT_CRITERIA, criterion_scores, parse_criterion
 from prunelab.data import CIFAR_RECORD_BYTES
-from prunelab.experiment import ExperimentConfig, run_experiment
-from prunelab.model import Architecture, ConvSpec, build_model
+from prunelab.experiment import ExperimentConfig, load_dataset, run_experiment
+from prunelab.model import Architecture, ConvSpec, build_model, evaluate, nonzero_filter_count
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
@@ -206,6 +206,26 @@ class TestTrain:
         assert manifest["config"]["prune_rate"] == 0.3  # flag beats file
         assert manifest["config"]["seed"] == 1          # file beats default
 
+    @pytest.mark.parametrize("attribute", ["top1_loss", "mean_weight"])
+    def test_reports_the_model_after_a_trailing_prune_step(self, tmp_path, attribute):
+        # epochs 5, interval 2: the last prune step follows the last epoch
+        # row, and on this seed it changes top-1. top1_loss evaluates the
+        # selected trial; mean_weight evaluates nothing while selecting
+        fields = {**TINY, "seed": 5, "epochs": 5, "interval": 2, "prune_rate": 0.6,
+                  "meta_attribute": attribute}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        out = tmp_path / "run"
+        res = run_cli("train", "--config", cfg, "--out-dir", out)
+        assert res.returncode == 0, res.stderr
+        model, _ = load_checkpoint(out / "final.ckpt")
+        data = load_dataset(ExperimentConfig.from_dict(fields))  # n_eval < eval_batch_size
+        stats = evaluate(model, data.eval_x, data.eval_y)
+        assert json.loads((out / "report.json").read_text())["epochs"][-1]["eval_top1"] != stats["top1"]
+        kappa = nonzero_filter_count(model.conv_weights)
+        assert (f"final eval top1: {stats['top1']:.4f}  top5: {stats['top5']:.4f}  kappa: {kappa}"
+                in res.stdout.splitlines())
+
 
 TINY = {
     "arch": {
@@ -234,7 +254,7 @@ def direct_sweep_lines(field, values, seeds):
     for value in values:
         results = [run_experiment(ExperimentConfig.from_dict({**TINY, field: value, "seed": seed}))
                    for seed in range(seeds)]
-        top1 = [res["reports"][-1].eval_top1 for res in results]
+        top1 = [res["final_eval"]["top1"] for res in results]
         selected = sorted({rec.selected for res in results for rec in res["records"]})
         lines.append(f"{value}  {np.mean(top1):.4f}  {','.join(f'{a:.4f}' for a in top1)}  "
                      f"{','.join(selected)}")
@@ -268,6 +288,7 @@ class TestSweep:
     @pytest.mark.parametrize("field,values", [
         ("interval", ["1", "x"]), ("interval", ["1", "0"]), ("prune_rate", ["0.2", "1.5"]),
         ("reference_initial", ["true", "maybe"]), ("lr", ["0.02", "inf"]),
+        ("dataset", ["synthetic", "bogus"]),
     ])
     def test_bad_value_fails_before_any_run(self, tiny_cfg, field, values):
         res = run_cli("sweep", field, *values, "--seeds", "1", "--config", tiny_cfg)

@@ -65,6 +65,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="criterion"):
             tiny_config(criteria=("l1", "bogus")).validate()
 
+    @pytest.mark.parametrize("spec", ["bogus", "cifar10", "CIFAR10:/data", ""])
+    def test_unknown_dataset_spec_named(self, spec):
+        # validate, not load_dataset, must reject it: a sweep validates every
+        # cell before its first run
+        with pytest.raises(ValueError, match=f"unknown dataset spec '{spec}'"):
+            tiny_config(dataset=spec).validate()
+
     @pytest.mark.parametrize("key,value", [
         ("epochs", "3"), ("epochs", True), ("prune_rate", None), ("criteria", "l1"),
         ("criteria", [1]), ("reference_initial", 1), ("arch", []),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -343,6 +344,13 @@ def layer_sizes(arch: Architecture, batch: int) -> list[dict]:
     return sizes
 
 
+def first_layers(model: mdl.ModelState, n: int) -> mdl.ModelState:
+    """The model cut to its first n conv layers, with the same weights. Its
+    classifier no longer fits, so only _conv_stack may run it."""
+    arch = dataclasses.replace(model.arch, conv_layers=model.arch.conv_layers[:n])
+    return dataclasses.replace(model, arch=arch, conv_weights=model.conv_weights[:n], masks=model.masks[:n])
+
+
 class TestHeldActivations:
     """forward holds one layer at a time, and at most two of its input,
     staged rows, patch matrix and output; training holds no float
@@ -356,7 +364,7 @@ class TestHeldActivations:
         assert mdl.forward(model, x).tobytes() == logits.tobytes()
         # a batch of one: a GEMM's bits may change when its rows are split
         for i, (_, _, post) in enumerate(oracles.forward_activations(model, x[:1])[0]):
-            assert mdl._conv_stack(model, x[:1], i + 1)[0].tobytes() == post[0].tobytes()
+            assert mdl._conv_stack(first_layers(model, i + 1), x[:1])[0].tobytes() == post[0].tobytes()
         loss, train_logits, grads = mdl.loss_and_gradients(model, x, y)
         exp_loss, exp_logits, expected = oracles.loss_and_gradients(model, x, y)
         assert loss == exp_loss and train_logits.tobytes() == exp_logits.tobytes()
