@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="comma list, e.g. l1,l2,minkowski1,minkowski2,cosine")
     config_flags.add_argument("--meta-attribute", dest="meta_attribute",
                               choices=list(meta.META_ATTRIBUTES))
-    config_flags.add_argument("--dataset", help="'synthetic' or 'cifar10:<path>'")
+    config_flags.add_argument("--dataset", help="'synthetic' or 'cifar10:<dir>'")
 
     p = sub.add_parser("train", parents=[config_flags], help="run a pruning-training experiment")
     p.add_argument("--seed", type=int)

@@ -20,6 +20,7 @@ once and every exponent reads it, bit-identical to one exponent at a time.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -41,15 +42,17 @@ class Criterion:
     def __post_init__(self):
         if self.kind not in ("norm", "minkowski", "cosine"):
             raise ValueError(f"unknown criterion kind {self.kind!r}")
-        if self.kind != "cosine" and self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if self.kind != "cosine" and not 1 <= self.p < math.inf:
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
 
     @property
     def name(self) -> str:
+        """The name parse_criterion reads back: p in full, without exponent."""
+        p = np.format_float_positional(self.p, trim="-")
         if self.kind == "norm":
-            return f"l{self.p:g}"
+            return f"l{p}"
         if self.kind == "minkowski":
-            return f"minkowski{self.p:g}"
+            return f"minkowski{p}"
         return "cosine"
 
 

@@ -3,8 +3,10 @@
 The synthetic set is the default desk-scale workload: each class is an
 oriented sinusoidal stripe pattern (class-specific frequency, orientation
 and phase) plus Gaussian pixel noise, so a tiny CNN can separate classes in
-a few dozen epochs. CIFAR-10 ingestion reads the canonical binary batches
-(3073-byte records: 1 label byte + 3072 channel-major pixel bytes).
+a few dozen epochs. CIFAR-10 ingestion reads the directory that the binary
+archive unpacks to: the data_batch_*.bin training batches and the
+test_batch.bin evaluation batch (3073-byte records: 1 label byte + 3072
+channel-major pixel bytes).
 """
 
 from __future__ import annotations
@@ -84,33 +86,22 @@ def _read_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_cifar10_binary(path: str | Path) -> Dataset:
-    """Load CIFAR-10 from its binary-batches directory (or a single .bin file).
+    """Load CIFAR-10 from the directory its binary archive unpacks to.
 
-    Pixels are scaled to [0, 1] then normalized per channel with mean/std
-    computed on the training split.
+    Raises FileNotFoundError, before reading any file, unless the directory
+    holds data_batch_*.bin and test_batch.bin. Pixels are scaled to [0, 1]
+    then normalized per channel with mean/std computed on the training split.
     """
     path = Path(path)
-    if path.is_dir():
-        train_files = sorted(path.glob("data_batch_*.bin"))
-        test_files = sorted(path.glob("test_batch.bin"))
-        if not train_files:
-            raise FileNotFoundError(f"no data_batch_*.bin under {path}")
-    else:
-        train_files, test_files = [path], []
+    train_files = sorted(path.glob("data_batch_*.bin"))
+    test_file = path / "test_batch.bin"
+    if not train_files or not test_file.is_file():
+        raise FileNotFoundError(f"{path}: a CIFAR-10 directory needs data_batch_*.bin and test_batch.bin")
     train_parts = [_read_cifar_file(f) for f in train_files]
     train_x = np.concatenate([p[0] for p in train_parts])
     train_y = np.concatenate([p[1] for p in train_parts])
-    mean = train_x.mean(axis=(0, 2, 3))
+    mean = train_x.mean(axis=(0, 2, 3))[None, :, None, None]
     std = train_x.std(axis=(0, 2, 3))
-    std = np.where(std == 0, 1.0, std)
-    norm = lambda x: (x - mean[None, :, None, None]) / std[None, :, None, None]
-    if test_files:
-        eval_x, eval_y = _read_cifar_file(test_files[0])
-    else:
-        eval_x, eval_y = train_x[:0], train_y[:0]
-    return Dataset(
-        train_x=norm(train_x),
-        train_y=train_y,
-        eval_x=norm(eval_x) if len(eval_x) else eval_x,
-        eval_y=eval_y,
-    )
+    std = np.where(std == 0, 1.0, std)[None, :, None, None]
+    eval_x, eval_y = _read_cifar_file(test_file)
+    return Dataset((train_x - mean) / std, train_y, (eval_x - mean) / std, eval_y)

@@ -47,7 +47,7 @@ DEFAULT_ARCH = {
 class ExperimentConfig:
     seed: int = 0
     arch: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_ARCH)))
-    dataset: str = "synthetic"          # "synthetic" or "cifar10:<path>"
+    dataset: str = "synthetic"          # "synthetic" or "cifar10:<dir>"
     n_train: int = 600
     n_eval: int = 300
     image_size: int = 16
@@ -91,7 +91,7 @@ class ExperimentConfig:
             raise ValueError(f"prune_rate must be in [0, 1), got {self.prune_rate}")
         if self.dataset != "synthetic" and not self.dataset.startswith("cifar10:"):
             raise ValueError(
-                f"unknown dataset spec {self.dataset!r}: use 'synthetic' or 'cifar10:<path>'"
+                f"unknown dataset spec {self.dataset!r}: use 'synthetic' or 'cifar10:<dir>'"
             )
         if self.meta_attribute not in meta.META_ATTRIBUTES:
             raise ValueError(
@@ -217,8 +217,6 @@ def run_experiment(
     config.validate()
     t0 = time.perf_counter()
     dataset = load_dataset(config)
-    if len(dataset.eval_x) == 0:  # fail before any training, not at the first evaluation
-        raise ValueError(f"dataset {config.dataset!r} has an empty evaluation set")
     model = mdl.build_model(config.architecture(), seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
 

@@ -124,6 +124,7 @@ class TestExitCodes:
             {"in_channels": 1, "out_channels": 4, "kernel": 3}]}}, "collapsed"),
         ({"arch": {**ExperimentConfig().arch, "pooling": "max"}}, "pooling"),
         ({"meta_attribute": "sparsity"}, "sparsity"),
+        ({"criteria": ["l1", "l" + "9" * 400]}, "p must be finite"),
     ])
     def test_bad_config_value_is_runtime_error(self, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"
@@ -160,14 +161,17 @@ class TestExitCodes:
         assert res.returncode == 1
         assert "error:" in res.stderr and "Traceback" not in res.stderr
 
-    def test_empty_eval_split_is_runtime_error(self, tmp_path):
-        # a single CIFAR .bin file gives a training split and no eval split
+    @pytest.mark.parametrize("layout", ["file", "dir"])
+    def test_missing_test_batch_is_runtime_error(self, tmp_path, layout):
+        # neither a single CIFAR .bin file nor a directory without
+        # test_batch.bin has an evaluation split
         records = np.random.default_rng(0).integers(0, 10, size=(4, CIFAR_RECORD_BYTES), dtype=np.uint8)
-        (tmp_path / "one.bin").write_bytes(records.tobytes())
-        cfg = cifar_config(tmp_path, tmp_path / "one.bin")
-        res = run_cli("train", "--config", cfg, "--out-dir", tmp_path / "run")
+        (tmp_path / "data_batch_1.bin").write_bytes(records.tobytes())
+        data = tmp_path / "data_batch_1.bin" if layout == "file" else tmp_path
+        res = run_cli("train", "--config", cifar_config(tmp_path, data), "--out-dir", tmp_path / "run")
         assert res.returncode == 1
-        assert "error:" in res.stderr and "Traceback" not in res.stderr
+        assert "error:" in res.stderr and "test_batch.bin" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_cifar_label_out_of_range_is_runtime_error(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -248,28 +252,47 @@ def tiny_cfg(tmp_path):
     return path
 
 
+# TINY trains to chance; with these fields its top-1 differs between the
+# swept values, so a sweep line with the wrong model's top-1 shows
+SWEEP = {**TINY, "batch_size": 8, "epochs": 4, "lr": 0.2}
+
+
+@pytest.fixture
+def sweep_cfg(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(SWEEP))
+    return path
+
+
 def direct_sweep_lines(field, values, seeds):
     """What `prunelab sweep` prints, from run_experiment called directly."""
     lines = [f"{field}  mean_top1  per_seed_top1  criteria_selected"]
     for value in values:
-        results = [run_experiment(ExperimentConfig.from_dict({**TINY, field: value, "seed": seed}))
+        results = [run_experiment(ExperimentConfig.from_dict({**SWEEP, field: value, "seed": seed}))
                    for seed in range(seeds)]
         top1 = [res["final_eval"]["top1"] for res in results]
         selected = sorted({rec.selected for res in results for rec in res["records"]})
         lines.append(f"{value}  {np.mean(top1):.4f}  {','.join(f'{a:.4f}' for a in top1)}  "
                      f"{','.join(selected)}")
+    per_seed_top1 = [line.split("  ")[2] for line in lines[1:]]
+    assert len(set(per_seed_top1)) == len(values), per_seed_top1
     return lines
 
 
 class TestSweep:
-    def test_interval_sweep_matches_direct_runs(self, tiny_cfg):
-        res = run_cli("sweep", "interval", "1", "2", "--seeds", "2", "--config", tiny_cfg)
+    def test_interval_sweep_matches_direct_runs(self, sweep_cfg):
+        res = run_cli("sweep", "interval", "1", "2", "--seeds", "2", "--config", sweep_cfg)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines() == direct_sweep_lines("interval", [1, 2], 2)
 
-    def test_meta_attribute_sweep_matches_direct_runs(self, tiny_cfg, capsys):
+    def test_prune_rate_sweep_matches_direct_runs(self, sweep_cfg):
+        res = run_cli("sweep", "prune_rate", "0.2", "0.6", "--seeds", "2", "--config", sweep_cfg)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == direct_sweep_lines("prune_rate", [0.2, 0.6], 2)
+
+    def test_meta_attribute_sweep_matches_direct_runs(self, sweep_cfg, capsys):
         assert cli.main(["sweep", "meta_attribute", "mean_weight", "random",
-                         "--seeds", "2", "--config", str(tiny_cfg)]) == 0
+                         "--seeds", "2", "--config", str(sweep_cfg)]) == 0
         assert capsys.readouterr().out.splitlines() == direct_sweep_lines(
             "meta_attribute", ["mean_weight", "random"], 2)
 

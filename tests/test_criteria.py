@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,24 @@ class TestParseCriterion:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown criterion"):
             parse_criterion("geometric_median")
+
+    PS = [1, 1.5, 2, 3, 1.0000001, 1 + 2**-52, 1234567, 2.5e10, 1e300]
+
+    @pytest.mark.parametrize("kind", ["norm", "minkowski"])
+    def test_name_reads_back(self, kind):
+        crits = [Criterion(kind, p) for p in self.PS]
+        for crit in crits:
+            assert parse_criterion(crit.name) == crit
+        assert len({crit.name for crit in crits}) == len(crits)
+
+    @pytest.mark.parametrize("crit", [
+        lambda: Criterion("norm", math.inf), lambda: Criterion("minkowski", math.inf),
+        lambda: Criterion("norm", math.nan), lambda: parse_criterion("l" + "9" * 400),
+        lambda: parse_criterion("minkowski" + "9" * 400),
+    ], ids=["norm-inf", "minkowski-inf", "norm-nan", "l-overflow", "minkowski-overflow"])
+    def test_non_finite_p_rejected(self, crit):
+        with pytest.raises(ValueError, match="p must be finite"):
+            crit()
 
 
 filter_banks = arrays(

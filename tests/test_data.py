@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prunelab import data as datamod
 from prunelab.data import (
     CIFAR_CLASSES,
     CIFAR_IMAGE_SHAPE,
@@ -82,13 +83,20 @@ def write_cifar_file(path, n_records, seed=0):
     return records
 
 
+def write_cifar_dir(path, n_train=20, n_test=5):
+    """A one-batch CIFAR-10 directory; returns (train, test) records."""
+    return (write_cifar_file(path / "data_batch_1.bin", n_train, seed=1),
+            write_cifar_file(path / "test_batch.bin", n_test, seed=2))
+
+
 class TestCifarLoader:
-    def test_single_file_roundtrip(self, tmp_path):
-        f = tmp_path / "data_batch_1.bin"
-        records = write_cifar_file(f, 20)
-        ds = load_cifar10_binary(f)
+    def test_batches_roundtrip(self, tmp_path):
+        train, test = write_cifar_dir(tmp_path)
+        ds = load_cifar10_binary(tmp_path)
         assert ds.train_x.shape == (20, 3, 32, 32)
-        assert np.array_equal(ds.train_y, records[:, 0])
+        assert ds.eval_x.shape == (5, 3, 32, 32)
+        assert np.array_equal(ds.train_y, train[:, 0])
+        assert np.array_equal(ds.eval_y, test[:, 0])
         assert ds.train_y.max() <= 9
 
     def test_directory_layout(self, tmp_path):
@@ -100,30 +108,54 @@ class TestCifarLoader:
         assert ds.eval_x.shape[0] == 4
 
     def test_normalization_constants_applied(self, tmp_path):
-        write_cifar_file(tmp_path / "data_batch_1.bin", 30, seed=4)
+        train, test = write_cifar_dir(tmp_path, n_train=30)
         ds = load_cifar10_binary(tmp_path)
         # per-channel standardization: zero mean, unit variance
         assert np.allclose(ds.train_x.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
         assert np.allclose(ds.train_x.std(axis=(0, 2, 3)), 1.0, atol=1e-10)
+        # the evaluation split takes the training split's constants
+        pixels = train[:, 1:].reshape(-1, *CIFAR_IMAGE_SHAPE) / 255.0
+        mean = pixels.mean(axis=(0, 2, 3))[None, :, None, None]
+        std = pixels.std(axis=(0, 2, 3))[None, :, None, None]
+        eval_pixels = test[:, 1:].reshape(-1, *CIFAR_IMAGE_SHAPE) / 255.0
+        assert ds.eval_x.tobytes() == ((eval_pixels - mean) / std).tobytes()
 
     def test_truncated_file_rejected_with_byte_counts(self, tmp_path):
-        f = tmp_path / "data_batch_1.bin"
-        write_cifar_file(f, 3)
-        f.write_bytes(f.read_bytes()[:-10])
-        with pytest.raises(ValueError, match="3073"):
-            load_cifar10_binary(f)
+        for name in ("data_batch_1.bin", "test_batch.bin"):
+            write_cifar_dir(tmp_path, n_train=3, n_test=3)
+            f = tmp_path / name
+            f.write_bytes(f.read_bytes()[:-10])
+            with pytest.raises(ValueError, match=f"{name}: size 9209 bytes .*3073"):
+                load_cifar10_binary(tmp_path)
 
     def test_bad_label_rejected(self, tmp_path):
-        f = tmp_path / "data_batch_1.bin"
-        records = write_cifar_file(f, 2)
-        records[1, 0] = 77
-        f.write_bytes(records.tobytes())
-        with pytest.raises(ValueError, match=r"\[0, 9\]"):
-            load_cifar10_binary(f)
+        for name in ("data_batch_1.bin", "test_batch.bin"):
+            write_cifar_dir(tmp_path, n_train=2, n_test=2)
+            records = write_cifar_file(tmp_path / name, 2)
+            records[1, 0] = 77
+            (tmp_path / name).write_bytes(records.tobytes())
+            with pytest.raises(ValueError, match=rf"{name}: label byte 77 outside \[0, 9\]"):
+                load_cifar10_binary(tmp_path)
 
     def test_missing_directory_batches(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_cifar10_binary(tmp_path)
+
+    def test_single_file_rejected(self, tmp_path):
+        # a single batch file has no evaluation split
+        write_cifar_dir(tmp_path)
+        with pytest.raises(FileNotFoundError, match=r"data_batch_\*\.bin and test_batch\.bin"):
+            load_cifar10_binary(tmp_path / "data_batch_1.bin")
+
+    @pytest.mark.parametrize("missing", ["data_batch_1.bin", "test_batch.bin"])
+    def test_missing_batch_fails_before_reading(self, tmp_path, monkeypatch, missing):
+        write_cifar_dir(tmp_path)
+        (tmp_path / missing).unlink()
+        reads = []
+        monkeypatch.setattr(datamod, "_read_cifar_file", lambda f: reads.append(f))
+        with pytest.raises(FileNotFoundError, match=r"data_batch_\*\.bin and test_batch\.bin"):
+            load_cifar10_binary(tmp_path)
+        assert reads == []
 
 
 # a small two-file CIFAR directory: two training records, one eval record

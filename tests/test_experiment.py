@@ -65,6 +65,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="criterion"):
             tiny_config(criteria=("l1", "bogus")).validate()
 
+    def test_overflowing_criterion_p_rejected(self):
+        # "l999..." parses to p = inf, which would score every filter 1.0
+        with pytest.raises(ValueError, match="p must be finite"):
+            tiny_config(criteria=("l1", "l" + "9" * 400)).validate()
+
     @pytest.mark.parametrize("spec", ["bogus", "cifar10", "CIFAR10:/data", ""])
     def test_unknown_dataset_spec_named(self, spec):
         # validate, not load_dataset, must reject it: a sweep validates every
@@ -187,19 +192,19 @@ class TestConfig:
 
 
 class TestRunExperiment:
-    def test_empty_eval_split_fails_before_training(self, tmp_path, monkeypatch):
-        # a single CIFAR .bin file gives a training split and no eval split
+    def test_missing_test_batch_fails_before_training(self, tmp_path, monkeypatch):
+        # a directory without test_batch.bin has no evaluation split
         records = np.random.default_rng(0).integers(
             0, 10, size=(4, datamod.CIFAR_RECORD_BYTES), dtype=np.uint8
         )
-        (tmp_path / "one.bin").write_bytes(records.tobytes())
+        (tmp_path / "data_batch_1.bin").write_bytes(records.tobytes())
 
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the eval split was checked")
 
         monkeypatch.setattr(mdl, "train_epoch", no_training)
-        with pytest.raises(ValueError, match="empty evaluation set"):
-            run_experiment(tiny_config(arch=cifar_arch(), dataset=f"cifar10:{tmp_path / 'one.bin'}"))
+        with pytest.raises(FileNotFoundError, match="test_batch.bin"):
+            run_experiment(tiny_config(arch=cifar_arch(), dataset=f"cifar10:{tmp_path}"))
 
     def test_rate_zero_keeps_full_flops(self, tmp_path):
         res = run_experiment(tiny_config(prune_rate=0.0), out_dir=tmp_path)
