@@ -133,10 +133,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _sweep_value(field: str, text: str):
     kind = type(getattr(DEFAULT_CONFIG, field))
-    if kind is bool:
-        if text not in ("true", "false"):
-            raise ValueError(f"{field} must be true or false, got {text!r}")
-        return text == "true"
     try:
         return kind(text)
     except ValueError:

@@ -4,7 +4,8 @@ owns the SGD momentum buffers), report emission.
 Reports come in two flavors written side by side:
   report.csv   one row per epoch and one per prune step (LF newlines,
                fixed column order, see CSV_COLUMNS)
-  report.json  config echo + all epoch/prune-step records + FLOPs report
+  report.json  the non-default config fields + all epoch/prune-step records
+               + FLOPs report; manifest.json echoes every field
 
 Determinism contract: identical (config, seed) produce byte-identical
 report.csv / report.json / final.ckpt. The only wall-clock timing is
@@ -63,7 +64,6 @@ class ExperimentConfig:
     weight_decay: float = 5e-4
     batch_size: int = 32
     eval_batch_size: int = 512
-    reference_initial: bool = False
 
     def validate(self) -> None:
         for f in fields(self):
@@ -170,8 +170,8 @@ def _check_type(key: str, value, default) -> None:
         for item in value:
             _check_type(key, item, default[0])
         return
-    kind = {bool: bool, int: numbers.Integral, float: numbers.Real}.get(type(default), type(default))
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+    kind = {int: numbers.Integral, float: numbers.Real}.get(type(default), type(default))
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"config key {key!r} must be {type(default).__name__}, got {value!r}")
 
 
@@ -226,7 +226,6 @@ def run_experiment(
 
     candidates = config.criterion_objects()
     lr_at = config.lr_schedule()
-    reference = model.copy() if config.reference_initial else None
     # momentum buffers, one per parameter in sgd_step order
     velocity = [np.zeros_like(p) for p in model.parameters()]
     records: list[meta.PruneStepRecord] = []
@@ -238,7 +237,6 @@ def run_experiment(
         _, masks, record = meta.select_criterion(
             model, eval_x, eval_y, candidates, config.prune_rate,
             config.meta_attribute, rng, step=len(records) + 1, epoch=epoch,
-            reference_model=reference,
         )
         mdl.apply_mask(model, masks)
         for v, m in zip(velocity, masks):  # a pruned filter restarts from rest
@@ -335,8 +333,9 @@ def emit_report(
     csv_path = out_dir / "report.csv"
     csv_path.write_text("\n".join(lines) + "\n", newline="\n")
 
+    defaults = type(config)().to_dict()
     bundle = {
-        "config": config.to_dict(),
+        "config": {k: v for k, v in config.to_dict().items() if v != defaults[k]},
         "epochs": [asdict(r) for r in reports],
         "prune_steps": [r.to_dict() for r in records],
         "flops": flops_report.to_dict(),

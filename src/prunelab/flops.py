@@ -51,14 +51,6 @@ def layer_flops(n_in: int, n_out: int, kernel: int, h_out: int, w_out: int) -> i
     return n_out * n_in * kernel * kernel * h_out * w_out
 
 
-def theoretical_reduction(p_i: float, p_iplus1: float) -> float:
-    """Pruned-FLOPs ratio when a layer loses rate p_i of its inputs and
-    rate p_iplus1 of its outputs: 1 - (1 - p_iplus1)(1 - p_i)."""
-    if not (0 <= p_i < 1 and 0 <= p_iplus1 < 1):
-        raise ValueError(f"rates must be in [0, 1): {p_i}, {p_iplus1}")
-    return 1.0 - (1.0 - p_iplus1) * (1.0 - p_i)
-
-
 def model_flops(model: ModelState, masks: list[np.ndarray] | None = None) -> FlopsReport:
     """Per-layer MAC counts, baseline and with the given keep-masks applied."""
     masks = check_masks(model.arch, masks if masks is not None else model.masks)

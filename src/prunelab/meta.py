@@ -6,9 +6,8 @@ alone, with no trial copy (see _attribute_and_eval). The criterion whose
 meta-attribute gap |M(pruned) - M(reference)| is smallest wins and its
 masks are applied softly. Candidates whose masks coincide prune to the same
 model, so each distinct mask set is scored once per step (the `random`
-attribute still draws one value per candidate). By default the reference is
-the current pre-step model; a config switch allows comparing against a
-frozen initial snapshot instead.
+attribute still draws one value per candidate). The reference is the model
+as it is before the step.
 
 The Minkowski exponents among the candidates share one
 criteria.minkowski_scores pass per layer and step, made before any
@@ -145,7 +144,6 @@ def select_criterion(
     rng: np.random.Generator,
     step: int = 0,
     epoch: int = 0,
-    reference_model: ModelState | None = None,
 ) -> tuple[Criterion, list[np.ndarray], PruneStepRecord]:
     """Score every candidate's pruned network and pick the gap minimizer
     (ties: earliest in list order). The input model is never mutated, and
@@ -156,13 +154,10 @@ def select_criterion(
     the candidates, record.selected_eval is the winner's model.evaluate
     result. Its top-1 and top-5 match evaluating the model once its masks
     are applied; its loss can differ in the last bits, because the
-    compacted matrix products are blocked differently.
-
-    The gap reference defaults to the current model; pass reference_model to
-    compare against a frozen snapshot instead."""
+    compacted matrix products are blocked differently."""
     if not candidates:
         raise ValueError("candidate list is empty")
-    ref = meta_attribute(reference_model or model, eval_x, eval_y, attribute, rng)
+    ref = meta_attribute(model, eval_x, eval_y, attribute, rng)
     scored: dict[bytes, tuple[float, dict | None]] = {}  # mask bytes -> score
     all_masks, results = [], []
     ps = [c.p for c in candidates if c.kind == "minkowski"]

@@ -3,7 +3,8 @@ the distance matrix) at a time, for checking criteria.criterion_scores,
 the window-by-window patch matrix for checking ops.im2col, and a model pass
 that keeps every layer's input, pre-ReLU and post-ReLU arrays, with conv
 passes that each build their own patch matrix, for checking model.forward
-and model.loss_and_gradients."""
+and model.loss_and_gradients, and the paper's FLOPs-reduction formula, for
+checking flops.model_flops."""
 
 import logging
 
@@ -46,6 +47,14 @@ def cosine_distance(x: np.ndarray, y: np.ndarray) -> float:
         log.warning("cosine distance on a zero-norm vector; returning 1.0")
         return 1.0
     return float(np.clip(1.0 - float(x @ y) / (nx * ny), 0.0, 2.0))
+
+
+def theoretical_reduction(p_i: float, p_iplus1: float) -> float:
+    """Pruned-FLOPs ratio when a layer loses rate p_i of its inputs and
+    rate p_iplus1 of its outputs: 1 - (1 - p_iplus1)(1 - p_i)."""
+    if not (0 <= p_i < 1 and 0 <= p_iplus1 < 1):
+        raise ValueError(f"rates must be in [0, 1): {p_i}, {p_iplus1}")
+    return 1.0 - (1.0 - p_iplus1) * (1.0 - p_i)
 
 
 def im2col_by_windows(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import random_architecture
-from oracles import cosine_distance, minkowski_distance
+from oracles import cosine_distance, minkowski_distance, theoretical_reduction
 from prunelab import model as mdl, ops
 from prunelab.criteria import Criterion, criterion_scores, lp_norm_scores, select_filters
 from prunelab.experiment import ExperimentConfig, run_experiment
-from prunelab.flops import model_flops, theoretical_reduction
+from prunelab.flops import model_flops
 from prunelab.model import build_model, forward, loss_and_gradients
 
 SEEDS = [0, 1, 2, 3, 4]

@@ -100,11 +100,14 @@ class TestExitCodes:
         assert "error:" in res.stderr and "Traceback" not in res.stderr
 
     def test_unknown_config_key_is_runtime_error(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochz": 3}))
-        res = run_cli("train", "--config", cfg, "--out-dir", tmp_path / "run")
-        assert res.returncode == 1
-        assert "error:" in res.stderr and "epochz" in res.stderr
+        # a retired field is as unknown as a typo
+        for key, value in [("epochz", 3), ("reference_initial", True)]:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            res = run_cli("train", "--config", cfg, "--out-dir", tmp_path / "run")
+            assert res.returncode == 1
+            assert f"error: unknown config keys: {key}" in res.stderr
+            assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("cfg,key", [
         ({"epochs": "3"}, "epochs"), ({"arch": {}}, "input_shape"),
@@ -296,7 +299,7 @@ class TestSweep:
         assert capsys.readouterr().out.splitlines() == direct_sweep_lines(
             "meta_attribute", ["mean_weight", "random"], 2)
 
-    @pytest.mark.parametrize("field", ["criteria", "arch", "decay_at", "seed", "epochz"])
+    @pytest.mark.parametrize("field", ["criteria", "arch", "decay_at", "seed", "epochz", "reference_initial"])
     def test_unsweepable_field_is_usage_error(self, field, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", field, "1"])
@@ -310,12 +313,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("field,values", [
         ("interval", ["1", "x"]), ("interval", ["1", "0"]), ("prune_rate", ["0.2", "1.5"]),
-        ("reference_initial", ["true", "maybe"]), ("lr", ["0.02", "inf"]),
+        ("lr", ["0.02", "fast"]), ("lr", ["0.02", "inf"]),
         ("dataset", ["synthetic", "bogus"]),
     ])
     def test_bad_value_fails_before_any_run(self, tiny_cfg, field, values):
         res = run_cli("sweep", field, *values, "--seeds", "1", "--config", tiny_cfg)
-        assert res.returncode in (1, 2)
+        assert res.returncode == 1  # a usage error (2) would mean FIELD, not the value, failed
         assert "error:" in res.stderr and "Traceback" not in res.stderr
         assert res.stdout == ""
 

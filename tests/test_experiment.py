@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("epochs", "3"), ("epochs", True), ("prune_rate", None), ("criteria", "l1"),
-        ("criteria", [1]), ("reference_initial", 1), ("arch", []),
+        ("criteria", [1]), ("prune_rate", True), ("arch", []), ("decay_at", [True, 0.75]),
     ])
     def test_wrong_value_type_named(self, key, value):
         with pytest.raises(ValueError, match=f"'{key}' must be"):
@@ -254,37 +255,31 @@ class TestGoldenBytes:
     may differ under another numpy or BLAS build."""
 
     GOLDEN = {
-        "mean_weight_reference_initial": (
-            dict(epochs=4, meta_attribute="mean_weight", reference_initial=True),
-            "9c24564bef689ee4d6ae5b9d3028d36e82e74d869c6e597d11d5a0543000e15b",
-            "d5a393048829fbf40711122d86bc2a66eae8efc35010b67fd35c82a3116a01a4",
-            "b9ff6fbeb68a9d86534e71031f05fd2dbebd8b9ce4146f1fb1385604ecf912ea",
-        ),
         "random_interval_1": (
             dict(epochs=4, interval=1, meta_attribute="random"),
             "ccc911dda7401a3b809ad2e6eed09cfd83bf39a0a3888cf58b4d16fc825f9702",
-            "8b05c73bf6d239fc9bca107eb5b9ba16f1633a899e69be5031dcbed27bd0314c",
+            "21535ef52f72cd3d02d66fef0e11cf92a2dcee5196bb10206be0c13d00c11512",
             "8419843b7b249e630208e67160b349be8c693fef578de72c9fdcbbd64a36cdb4",
         ),
         # candidate masks coincide here, so shared trial scores are exercised
         "top1_loss": (
             dict(epochs=6, meta_attribute="top1_loss"),
             "e812bccc98e5b638bed0136d6b9eeeb8b9b036bc062e79bf77057598ea736c82",
-            "9075d9d2c25a565de292eaef0ed629e63fb1be11e394caf7b815dc304df802a2",
+            "02eed4791fd05674fe9590af83c198a2d077fc1edca27e04a4138482c0d7b4c7",
             "84c8202dbda0d158d59f700c07cb52070c1d51237620688fb13c4630919e1f8f",
         ),
-        # mean_weight against the current (not the initial) model
+        # mean_weight, with a prune step every epoch
         "mean_weight_current": (
             dict(seed=2, epochs=6, interval=1, meta_attribute="mean_weight"),
             "fb1ddc0b4044bd8063f118b8b43f8d7d00f75c95779c9b5f4afddf090532d777",
-            "34ea0ed235c6fed75381f6ad54e9bf774e3c8c84c72ab68b46a7482c38e7600f",
+            "53a8ecd8ecff5cd2a7d3e8639b3e0dd6fd3db2c47831beb2cbcb3308ed2f13e5",
             "27f677ed9a933710b75fd4174ccf07ea7de82e65a449d567add30b3c2ee06747",
         ),
         # the arch with what the default one lacks (see ODD_SHAPES_ARCH)
         "odd_shapes": (
             dict(image_size=9, epochs=4, interval=1, n_train=120, n_eval=60, arch=ODD_SHAPES_ARCH),
             "bf768722fa17cd8cb5749a4a4cedc34428dfa4077555cc1ae65c3886099f5198",
-            "579bff529c41769f4289e1f7f893b50d1200bf2e88b0edf75695a2d998c61e93",
+            "9cce5ad98b3fe0abfb9139e582be23ac0fa52a69ed0c21da68b27c1ce2ffeb70",
             "328ac7cda00f106973fa5d10874c6bfc83b2bfd4caa4c7add30c2771d4049f9d",
         ),
         # four Minkowski exponents (int and fractional) scored in one shared
@@ -293,7 +288,7 @@ class TestGoldenBytes:
             dict(epochs=4, interval=1, criteria=(
                 "minkowski1", "minkowski1.5", "minkowski2", "minkowski3", "l1", "cosine")),
             "8ee41fb352c340e463d509943d710e2f4ce7d100e1fa8b39514b1d850c3d92ce",
-            "17ecfc8c49c82ef5495c06c9807d642d97b176fddd1e30d076980ed48eaa2388",
+            "d037ebc86f9874846291bd15fb1e0075a32f733e60c92dd73c235723242caa8c",
             "c4241c2ecada61ae73ad558f1f05efff35dfa39bf39911205f56ad4ad22da284",
         ),
         # the last prune step falls after the last interval boundary, so the
@@ -301,7 +296,7 @@ class TestGoldenBytes:
         "trailing_interval": (
             dict(epochs=5, interval=2),
             "5a49043692d4e83c58acebb32ffcfb7facc31276bc90fc25c070ed3a32d70ae1",
-            "48d30d2c625ecb1c2ed96493267a3de3fda470fd63bf28a8ae4c37e21b088dd5",
+            "bf6911f7d61caa2701c89dd44a99e48638a6e343b9a715fdd803c18c94c7ed14",
             "77af29b6fd1553a51f380f1e2682d6d339a11447af190d7838dcbf74474435ea",
         ),
     }
@@ -351,3 +346,34 @@ class TestEmitReport:
         bundle = json.loads(text)
         assert json.loads(json.dumps(bundle)) == bundle
         assert set(bundle) == {"config", "epochs", "prune_steps", "flops"}
+
+    def test_default_config_echoes_nothing(self, tmp_path):
+        fl = FlopsReport(layers=[LayerFlops(0, 10, 10)], baseline_total=10, pruned_total=10)
+        files = emit_report(ExperimentConfig(), [], [], fl, tmp_path)
+        assert json.loads(open(files["json"]).read())["config"] == {}
+
+    def test_field_at_its_default_keeps_json_bytes(self, tmp_path):
+        # a field added later, left at its default, moves no report.json digest
+        @dataclass
+        class WithExtraField(ExperimentConfig):
+            extra: int = 3
+
+        cfg = tiny_config()
+        res = run_experiment(cfg)
+        args = (res["records"], res["reports"], res["flops"])
+        a = emit_report(cfg, *args, tmp_path / "a")["json"]
+        b = emit_report(WithExtraField(**vars(cfg)), *args, tmp_path / "b")["json"]
+        assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_non_default_config_round_trips(self, tmp_path):
+        cfg = tiny_config(prune_rate=0.25, criteria=("l1", "cosine"), decay_at=(0.25, 0.5))
+        run_experiment(cfg, out_dir=tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(report["config"]) == {
+            "arch", "n_train", "n_eval", "image_size", "epochs", "prune_rate", "criteria",
+            "meta_attribute", "decay_at", "batch_size",
+        }
+        assert set(manifest["config"]) == set(cfg.to_dict())
+        assert ExperimentConfig.from_dict(report["config"]) == cfg
+        assert ExperimentConfig.from_dict(manifest["config"]) == cfg

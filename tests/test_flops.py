@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import theoretical_reduction
 from prunelab import flops, model as mdl
-from prunelab.flops import layer_flops, model_flops, theoretical_reduction
+from prunelab.flops import layer_flops, model_flops
 from prunelab.model import Architecture, ConvSpec, build_model
 
 

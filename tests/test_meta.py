@@ -396,15 +396,19 @@ class TestRunPruningTraining:
             assert np.all(v[~keep] == 0.0)
             assert np.all(v[keep].any(axis=(1, 2, 3)))
 
-    def test_reference_initial_switch(self, tiny_setup):
-        # every step measures its gap against the frozen epoch-0 model
+    def test_reference_is_the_pre_step_model(self, tiny_setup, monkeypatch):
+        # every step measures its gap against the model as it is before the step
         _, arch = tiny_setup
-        _, records, _ = self.run(arch, reference_initial=True, meta_attribute="mean_weight")
-        initial = meta_attribute(build_model(arch, seed=21), None, None, "mean_weight")
-        assert len(records) == 2
-        assert [r.reference_value for r in records] == [initial, initial]
-        _, current, _ = self.run(arch, meta_attribute="mean_weight")
-        assert current[1].reference_value != initial
+        select, before = meta.select_criterion, []
+
+        def spy(model, *args, **kwargs):
+            before.append(meta_attribute(model, None, None, "mean_weight"))
+            return select(model, *args, **kwargs)
+
+        monkeypatch.setattr(meta, "select_criterion", spy)
+        _, records, _ = self.run(arch, meta_attribute="mean_weight")
+        assert len(records) == 2 and before[0] != before[1]
+        assert [r.reference_value for r in records] == before
 
     def test_invalid_plan_rejected(self, tiny_setup):
         _, arch = tiny_setup
