@@ -119,11 +119,11 @@ def config_from_args(args: argparse.Namespace, **overrides) -> ExperimentConfig:
 def cmd_train(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     result = run_experiment(config, out_dir=args.out_dir)
-    final = result["final_eval"]
+    final = result["reports"][-1]
     kappa = mdl.nonzero_filter_count(result["model"].conv_weights)
     fl = result["flops"]
     print(f"epochs: {config.epochs}  prune steps: {len(result['records'])}")
-    print(f"final eval top1: {final['top1']:.4f}  top5: {final['top5']:.4f}  kappa: {kappa}")
+    print(f"final eval top1: {final.eval_top1:.4f}  top5: {final.eval_top5:.4f}  kappa: {kappa}")
     print(f"macs: {fl.pruned_total}/{fl.baseline_total} "
           f"(reduction {fl.theoretical_reduction_ratio:.4f})")
     for name, path in sorted(result["files"].items()):
@@ -149,7 +149,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(f"{args.field}  mean_top1  per_seed_top1  criteria_selected")
     for value, configs in cells:
         results = [run_experiment(config) for config in configs]
-        top1 = [res["final_eval"]["top1"] for res in results]
+        top1 = [res["reports"][-1].eval_top1 for res in results]
         selected = sorted({rec.selected for res in results for rec in res["records"]})
         print(f"{value}  {np.mean(top1):.4f}  {','.join(f'{a:.4f}' for a in top1)}  "
               f"{','.join(selected)}", flush=True)

@@ -206,13 +206,10 @@ def run_experiment(
     """Alternate training and soft pruning, then compact; optionally emit
     reports and checkpoint.
 
-    Loop: train `interval` epochs -> select criterion -> apply masks.
-    A trailing partial interval still gets a final selection, so the run
-    always ends selection -> apply_mask -> compact.
-    Returns {"model", "records", "reports", "final_eval", "flops", "files"}.
-    final_eval is the model.evaluate result, on the run's evaluation batch,
-    of the model after its last prune step, so its top-1 and top-5 are the
-    returned model's; reports[-1] comes before a trailing step.
+    Loop: train one epoch; every `interval`-th epoch and the last epoch then
+    select a criterion and apply its masks. Each epoch's report describes the
+    model that epoch leaves, so reports[-1] is the returned model's.
+    Returns {"model", "records", "reports", "flops", "files"}.
     """
     config.validate()
     t0 = time.perf_counter()
@@ -231,26 +228,24 @@ def run_experiment(
     records: list[meta.PruneStepRecord] = []
     reports: list[EpochReport] = []
 
-    def prune_step(epoch: int) -> dict:
-        """Select and apply one criterion's masks; returns the pruned model's
-        model.evaluate result, the selected trial's if selection ran one."""
-        _, masks, record = meta.select_criterion(
-            model, eval_x, eval_y, candidates, config.prune_rate,
-            config.meta_attribute, rng, step=len(records) + 1, epoch=epoch,
-        )
-        mdl.apply_mask(model, masks)
-        for v, m in zip(velocity, masks):  # a pruned filter restarts from rest
-            v[~m] = 0.0
-        records.append(record)
-        return record.selected_eval or mdl.evaluate(model, eval_x, eval_y)
-
     for epoch in range(1, config.epochs + 1):
         loss, acc = mdl.train_epoch(
             model, velocity, dataset.train_x, dataset.train_y,
             lr=lr_at(epoch), momentum=config.momentum,
             weight_decay=config.weight_decay, batch_size=config.batch_size, rng=rng,
         )
-        stats = prune_step(epoch) if epoch % config.interval == 0 else mdl.evaluate(model, eval_x, eval_y)
+        stats = None
+        if epoch % config.interval == 0 or epoch == config.epochs:
+            _, masks, record = meta.select_criterion(
+                model, eval_x, eval_y, candidates, config.prune_rate,
+                config.meta_attribute, rng, step=len(records) + 1, epoch=epoch,
+            )
+            mdl.apply_mask(model, masks)
+            for v, m in zip(velocity, masks):  # a pruned filter restarts from rest
+                v[~m] = 0.0
+            records.append(record)
+            stats = record.selected_eval  # the pruned model's, if selection evaluated it
+        stats = stats or mdl.evaluate(model, eval_x, eval_y)
         reports.append(
             EpochReport(
                 epoch=epoch,
@@ -262,8 +257,6 @@ def run_experiment(
                 masked_macs=flops.model_flops(model, model.masks).pruned_total,
             )
         )
-    if config.epochs % config.interval != 0:
-        stats = prune_step(config.epochs)
     final = mdl.compact(model, model.masks)
     flops_report = flops.model_flops(model, model.masks)
 
@@ -288,7 +281,6 @@ def run_experiment(
         "model": final,
         "records": records,
         "reports": reports,
-        "final_eval": stats,
         "flops": flops_report,
         "files": files,
     }
@@ -309,9 +301,7 @@ def emit_report(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [",".join(CSV_COLUMNS)]
-    by_epoch: dict[int, list[meta.PruneStepRecord]] = {}
-    for r in records:
-        by_epoch.setdefault(r.epoch, []).append(r)
+    by_epoch = {r.epoch: r for r in records}  # at most one prune step per epoch
     for rep in reports:
         lines.append(
             _csv_row(
@@ -327,9 +317,8 @@ def emit_report(
                 }
             )
         )
-        # a trailing partial interval's step has the last epoch's number
-        for rec in by_epoch.get(rep.epoch, []):
-            lines.append(_prune_row(rec))
+        if rep.epoch in by_epoch:
+            lines.append(_prune_row(by_epoch[rep.epoch]))
     csv_path = out_dir / "report.csv"
     csv_path.write_text("\n".join(lines) + "\n", newline="\n")
 

@@ -60,9 +60,7 @@ def model_flops(model: ModelState, masks: list[np.ndarray] | None = None) -> Flo
     for i, (spec, m, (h, w)) in enumerate(zip(model.arch.conv_layers, masks, sizes)):
         kept = int(m.sum())
         base = layer_flops(spec.in_channels, spec.out_channels, spec.kernel, h, w)
-        pruned = (
-            kept * prev_kept * spec.kernel * spec.kernel * h * w if kept > 0 else 0
-        )
+        pruned = kept * prev_kept * spec.kernel * spec.kernel * h * w
         layers.append(LayerFlops(index=i, baseline_macs=base, pruned_macs=pruned))
         prev_kept = kept
     return FlopsReport(

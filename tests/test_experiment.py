@@ -235,9 +235,9 @@ class TestRunExperiment:
         assert "wall_time_seconds" in manifest
         assert manifest["config"]["seed"] == 0
 
-    def test_default_run_work(self, monkeypatch):
-        # the calls a default run makes, pinned so that a refactor of the
-        # training pass or of selection cannot add or drop work unseen
+    @staticmethod
+    def run_work(monkeypatch, config):
+        """The conv forwards, conv backwards and evaluate calls of one run."""
         counts = {}
         for module, name in [(ops, "conv2d_forward"), (ops, "conv2d_backward"), (mdl, "evaluate")]:
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
@@ -245,8 +245,35 @@ class TestRunExperiment:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        run_experiment(ExperimentConfig())
+        run_experiment(config)
+        return counts
+
+    def test_default_run_work(self, monkeypatch):
+        # the calls a default run makes, pinned so that a refactor of the
+        # training pass or of selection cannot add or drop work unseen
+        counts = self.run_work(monkeypatch, ExperimentConfig())
         assert counts == {"conv2d_forward": 1864, "conv2d_backward": 1520, "evaluate": 43}
+
+    def test_trailing_run_work(self, monkeypatch):
+        # the last epoch's prune step stands in for its evaluate call, as on
+        # every other prune epoch
+        counts = self.run_work(monkeypatch, ExperimentConfig(epochs=5, interval=2))
+        assert counts == {"conv2d_forward": 492, "conv2d_backward": 380, "evaluate": 14}
+
+    @pytest.mark.parametrize("attribute", ["top5_loss", "top1_loss", "mean_weight", "random"])
+    def test_last_report_is_the_returned_model(self, attribute):
+        # epochs 5, interval 2: the last epoch's prune step is off the
+        # interval. With these fields it changes top-1 or top-5 under every
+        # attribute, so a row written before that step shows
+        cfg = tiny_config(seed=10, epochs=5, interval=2, prune_rate=0.5, lr=0.2, batch_size=8,
+                          meta_attribute=attribute)
+        res = run_experiment(cfg)
+        data = experiment.load_dataset(cfg)
+        stats = mdl.evaluate(res["model"], data.eval_x[:cfg.eval_batch_size],
+                             data.eval_y[:cfg.eval_batch_size])
+        last = res["reports"][-1]
+        assert (last.eval_top1, last.eval_top5) == (stats["top1"], stats["top5"])
+        assert [r.epoch for r in res["records"]] == [2, 4, 5]
 
 
 class TestGoldenBytes:
@@ -291,12 +318,12 @@ class TestGoldenBytes:
             "d037ebc86f9874846291bd15fb1e0075a32f733e60c92dd73c235723242caa8c",
             "c4241c2ecada61ae73ad558f1f05efff35dfa39bf39911205f56ad4ad22da284",
         ),
-        # the last prune step falls after the last interval boundary, so the
-        # trailing partial interval's row follows the last epoch row
+        # the last epoch is off the interval and still ends with a prune
+        # step, so its row reports the model after that step
         "trailing_interval": (
             dict(epochs=5, interval=2),
-            "5a49043692d4e83c58acebb32ffcfb7facc31276bc90fc25c070ed3a32d70ae1",
-            "bf6911f7d61caa2701c89dd44a99e48638a6e343b9a715fdd803c18c94c7ed14",
+            "499f6226f8f9e1965b38dd7ed400baf29a946c31ccbc62729f10c890429a63a6",
+            "561d7cc4b46f08d03e1087f4637ba304a15d99be5f6d0c9a63ce1f0f1a08f33a",
             "77af29b6fd1553a51f380f1e2682d6d339a11447af190d7838dcbf74474435ea",
         ),
     }

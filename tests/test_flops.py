@@ -130,6 +130,14 @@ class TestModelFlops:
         got = 1.0 - interior.pruned_macs / interior.baseline_macs
         assert got == pytest.approx(theoretical_reduction(p, p), abs=1e-12)
 
+    def test_empty_mask_zeroes_its_layer_and_the_next(self, three_layer_model):
+        masks = [np.ones(s.out_channels, dtype=bool) for s in three_layer_model.arch.conv_layers]
+        masks[1][:] = False
+        rep = model_flops(three_layer_model, masks)
+        assert [l.pruned_macs for l in rep.layers][1:] == [0, 0]
+        assert rep.layers[0].pruned_macs == rep.layers[0].baseline_macs > 0
+        assert rep.pruned_total == rep.layers[0].baseline_macs
+
     def test_wrong_length_mask_rejected(self, three_layer_model):
         masks = [m.copy() for m in three_layer_model.masks]
         masks[1] = masks[1][:-1]
