@@ -26,8 +26,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import flatten_filters
-
 log = logging.getLogger(__name__)
 
 
@@ -82,7 +80,7 @@ def lp_norm_scores(weights: np.ndarray, p: float) -> np.ndarray:
     """Per-filter lp norm of a (N_out, ...) weight bank."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    flat = np.abs(flatten_filters(np.asarray(weights, dtype=np.float64)))
+    flat = np.abs(np.asarray(weights, dtype=np.float64).reshape(len(weights), -1))
     return (flat**p).sum(axis=1) ** (1.0 / p)
 
 
@@ -133,7 +131,7 @@ def minkowski_scores(weights: np.ndarray, ps: Iterable[float]) -> dict[float, np
     """Average Minkowski distance scores of a (N_out, ...) weight bank for
     every exponent in ps, from one pass over the filter pairs: {p: scores}.
     Each equals criterion_scores(weights, Criterion("minkowski", p))."""
-    z = flatten_filters(np.asarray(weights, dtype=np.float64))
+    z = np.asarray(weights, dtype=np.float64).reshape(len(weights), -1)
     return {p: d.sum(axis=1) / z.shape[0] for p, d in _minkowski_matrices(z, ps).items()}
 
 
@@ -171,7 +169,7 @@ def criterion_scores(weights: np.ndarray, criterion: Criterion) -> np.ndarray:
         return lp_norm_scores(weights, criterion.p)
     if criterion.kind == "minkowski":
         return minkowski_scores(weights, [criterion.p])[criterion.p]
-    z = flatten_filters(np.asarray(weights, dtype=np.float64))
+    z = np.asarray(weights, dtype=np.float64).reshape(len(weights), -1)
     return _cosine_distance_matrix(z).sum(axis=1) / z.shape[0]
 
 

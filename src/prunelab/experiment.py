@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, data as datamod, flops, meta, model as mdl
 from .checkpoint import save_checkpoint
-from .criteria import DEFAULT_CRITERIA, Criterion, parse_criterion
+from .criteria import DEFAULT_CRITERIA, parse_criterion
 
 CSV_COLUMNS = [
     "kind", "epoch", "step", "train_loss", "train_acc", "eval_top1", "eval_top5",
@@ -43,6 +43,14 @@ DEFAULT_ARCH = {
     "num_classes": 10,
 }
 
+# the fixed training recipe, not config fields: SGD momentum and weight
+# decay, and lr multiplied by LR_DECAY_FACTOR once past each LR_DECAY_AT
+# fraction of the epochs
+MOMENTUM = 0.9
+WEIGHT_DECAY = 5e-4
+LR_DECAY_FACTOR = 0.1
+LR_DECAY_AT = (0.5, 0.75)
+
 
 @dataclass
 class ExperimentConfig:
@@ -58,10 +66,6 @@ class ExperimentConfig:
     criteria: tuple[str, ...] = tuple(c.name for c in DEFAULT_CRITERIA)
     meta_attribute: str = "top5_loss"
     lr: float = 0.02
-    decay_factor: float = 0.1
-    decay_at: tuple[float, float] = (0.5, 0.75)  # fractions of total epochs
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
     batch_size: int = 32
     eval_batch_size: int = 512
 
@@ -74,15 +78,8 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"config key 'seed' must be >= 0, got {self.seed}")
         # lr == 0 is train_epoch's evaluation pass; NaN and inf fail
-        for key in ("lr", "decay_factor", "weight_decay"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise ValueError(f"config key {key!r} must be finite and >= 0, got {getattr(self, key)}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"config key 'momentum' must be in [0, 1), got {self.momentum}")
-        if not all(0 <= f <= 1 for f in self.decay_at):
-            raise ValueError(
-                f"config key 'decay_at' must be fractions in [0, 1], got {list(self.decay_at)}"
-            )
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"config key 'lr' must be finite and >= 0, got {self.lr}")
         if not (self.epochs >= self.interval >= 1):
             raise ValueError(
                 f"need epochs >= interval >= 1 (epochs={self.epochs}, interval={self.interval})"
@@ -124,18 +121,15 @@ class ExperimentConfig:
     def architecture(self) -> mdl.Architecture:
         return mdl.Architecture.from_dict(self.arch)
 
-    def criterion_objects(self) -> list[Criterion]:
-        return [parse_criterion(n) for n in self.criteria]
-
     def lr_schedule(self):
-        """Step decay at the configured fractions of the run."""
-        marks = sorted(int(f * self.epochs) for f in self.decay_at)
+        """Step decay at the LR_DECAY_AT fractions of the run."""
+        marks = sorted(int(f * self.epochs) for f in LR_DECAY_AT)
 
         def at(epoch: int) -> float:
             lr = self.lr
             for m in marks:
                 if m > 0 and epoch > m:
-                    lr *= self.decay_factor
+                    lr *= LR_DECAY_FACTOR
             return lr
 
         return at
@@ -143,7 +137,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["criteria"] = list(self.criteria)
-        d["decay_at"] = list(self.decay_at)
         return d
 
     @staticmethod
@@ -221,7 +214,7 @@ def run_experiment(
     n_eval = min(config.eval_batch_size, len(dataset.eval_x))
     eval_x, eval_y = dataset.eval_x[:n_eval], dataset.eval_y[:n_eval]
 
-    candidates = config.criterion_objects()
+    candidates = [parse_criterion(n) for n in config.criteria]
     lr_at = config.lr_schedule()
     # momentum buffers, one per parameter in sgd_step order
     velocity = [np.zeros_like(p) for p in model.parameters()]
@@ -231,8 +224,8 @@ def run_experiment(
     for epoch in range(1, config.epochs + 1):
         loss, acc = mdl.train_epoch(
             model, velocity, dataset.train_x, dataset.train_y,
-            lr=lr_at(epoch), momentum=config.momentum,
-            weight_decay=config.weight_decay, batch_size=config.batch_size, rng=rng,
+            lr=lr_at(epoch), momentum=MOMENTUM, weight_decay=WEIGHT_DECAY,
+            batch_size=config.batch_size, rng=rng,
         )
         stats = None
         if epoch % config.interval == 0 or epoch == config.epochs:
@@ -302,21 +295,9 @@ def emit_report(
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [",".join(CSV_COLUMNS)]
     by_epoch = {r.epoch: r for r in records}  # at most one prune step per epoch
+    # _csv_row writes str(value), which equals repr for the Python floats of EpochReport
     for rep in reports:
-        lines.append(
-            _csv_row(
-                {
-                    "kind": "epoch",
-                    "epoch": rep.epoch,
-                    "train_loss": repr(rep.train_loss),
-                    "train_acc": repr(rep.train_acc),
-                    "eval_top1": repr(rep.eval_top1),
-                    "eval_top5": repr(rep.eval_top5),
-                    "kappa": rep.kappa,
-                    "masked_macs": rep.masked_macs,
-                }
-            )
-        )
+        lines.append(_csv_row({"kind": "epoch", **asdict(rep)}))
         if rep.epoch in by_epoch:
             lines.append(_prune_row(by_epoch[rep.epoch]))
     csv_path = out_dir / "report.csv"
@@ -344,7 +325,7 @@ def _prune_row(rec: meta.PruneStepRecord) -> str:
             "epoch": rec.epoch,
             "step": rec.step,
             "selected_criterion": rec.selected,
-            "reference_value": repr(rec.reference_value),
+            "reference_value": rec.reference_value,
             "candidate_gaps": gaps,
         }
     )

@@ -173,11 +173,6 @@ def build_model(arch: Architecture, seed: int) -> ModelState:
     return ModelState(arch, weights[:-1], all_keep_masks(arch), weights[-1], np.zeros(shapes[-1]))
 
 
-def flatten_filters(weights: np.ndarray) -> np.ndarray:
-    """(N_out, N_in, K, K) -> (N_out, N_in*K*K), row j = filter j row-major."""
-    return weights.reshape(weights.shape[0], -1)
-
-
 def _as_batch(model: ModelState, batch: np.ndarray) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 4 or x.shape[1:] != model.arch.input_shape:

@@ -5,13 +5,14 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import rewrite_header
-from prunelab import cli, meta, ops
+from prunelab import cli, experiment, meta, ops
 from prunelab.checkpoint import load_checkpoint, save_checkpoint
 from prunelab.criteria import DEFAULT_CRITERIA, criterion_scores, parse_criterion
 from prunelab.data import CIFAR_RECORD_BYTES
@@ -100,8 +101,8 @@ class TestExitCodes:
         assert "error:" in res.stderr and "Traceback" not in res.stderr
 
     def test_unknown_config_key_is_runtime_error(self, tmp_path):
-        # a retired field is as unknown as a typo
-        for key, value in [("epochz", 3), ("reference_initial", True)]:
+        # a retired field is as unknown as a typo; the training recipe is fixed
+        for key, value in [("epochz", 3), ("reference_initial", True), ("momentum", 0.9)]:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({key: value}))
             res = run_cli("train", "--config", cfg, "--out-dir", tmp_path / "run")
@@ -114,6 +115,7 @@ class TestExitCodes:
         ({"batch_size": 0}, "batch_size"), ({"eval_batch_size": 0}, "eval_batch_size"),
         ({"n_train": 0}, "n_train"), ({"n_eval": 0}, "n_eval"), ({"image_size": 0}, "image_size"),
         ({"image_size": 8}, "input_shape"),
+        # the recipe fields (momentum, decay_*, weight_decay) are retired: each is an unknown key
         ({"lr": -1.0, "epochs": 1, "interval": 1}, "lr"), ({"momentum": 1.5}, "momentum"),
         ({"decay_at": [0.5, 1.5]}, "decay_at"), ({"dataset": "cifar10:no-cifar-here"}, "input_shape"),
         ({"decay_factor": -1.0, "decay_at": [0.0, 0.5]}, "decay_factor"),
@@ -128,6 +130,9 @@ class TestExitCodes:
         ({"arch": {**ExperimentConfig().arch, "pooling": "max"}}, "pooling"),
         ({"meta_attribute": "sparsity"}, "sparsity"),
         ({"criteria": ["l1", "l" + "9" * 400]}, "p must be finite"),
+        ({"lr": float("nan")}, "lr"), ({"prune_rate": 1.0}, "prune_rate"),
+        ({"epochs": 2, "interval": 3}, "interval"), ({"epochs": True}, "epochs"),
+        ({"criteria": ["l1", "bogus"]}, "unknown criterion"), ({"dataset": "bogus"}, "unknown dataset spec"),
     ])
     def test_bad_config_value_is_runtime_error(self, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"
@@ -300,7 +305,8 @@ class TestSweep:
         assert capsys.readouterr().out.splitlines() == direct_sweep_lines(
             "meta_attribute", ["mean_weight", "random"], 2)
 
-    @pytest.mark.parametrize("field", ["criteria", "arch", "decay_at", "seed", "epochz", "reference_initial"])
+    @pytest.mark.parametrize("field", ["criteria", "arch", "decay_at", "seed", "epochz", "reference_initial",
+                                       "momentum"])
     def test_unsweepable_field_is_usage_error(self, field, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", field, "1"])
@@ -367,6 +373,19 @@ class TestReadme:
         for line in sweeps:
             values = cli.build_parser().parse_args(shlex.split(line, comments=True)[1:]).values
             assert set(values) <= set(meta.META_ATTRIBUTES), line
+
+    def test_documented_config_fields_match_code(self):
+        lines = README.read_text().splitlines()
+        documented = re.findall(r"`(\w+)=([^`]+)`", next(l for l in lines if l.startswith("Config fields")))
+        assert [name for name, _ in documented] == [f.name for f in fields(ExperimentConfig)]
+        defaults = experiment.DEFAULT_CONFIG.to_dict()
+        for name, text in documented:
+            value = experiment.DEFAULT_ARCH if text == "DEFAULT_ARCH" else json.loads(text)
+            assert value == defaults[name], name
+        recipe = next(l for l in lines if l.startswith("Training follows one fixed recipe"))
+        for value in (experiment.MOMENTUM, experiment.WEIGHT_DECAY, experiment.LR_DECAY_FACTOR,
+                      *experiment.LR_DECAY_AT):
+            assert re.search(rf"\b{re.escape(str(value))}\b", recipe), value
 
 
 class TestAnalyze:

@@ -80,7 +80,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("epochs", "3"), ("epochs", True), ("prune_rate", None), ("criteria", "l1"),
-        ("criteria", [1]), ("prune_rate", True), ("arch", []), ("decay_at", [True, 0.75]),
+        ("criteria", [1]), ("prune_rate", True), ("arch", []),
     ])
     def test_wrong_value_type_named(self, key, value):
         with pytest.raises(ValueError, match=f"'{key}' must be"):
@@ -153,12 +153,7 @@ class TestConfig:
         tiny_config(arch=cifar_arch(num_classes=11), dataset="cifar10:unused").validate()
 
     @pytest.mark.parametrize("key,value", [
-        ("lr", -1.0), ("lr", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
-        ("decay_at", (0.5, 1.5)), ("decay_at", (-0.25, 0.5)),
-        ("decay_factor", -1.0), ("decay_factor", float("nan")),
-        ("weight_decay", -5e-4), ("weight_decay", float("nan")),
-        ("lr", float("inf")), ("decay_factor", float("inf")), ("weight_decay", float("inf")),
-        ("seed", -1),
+        ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")), ("seed", -1),
     ])
     def test_training_value_out_of_range_named(self, key, value):
         with pytest.raises(ValueError, match=f"'{key}' must be"):
@@ -174,7 +169,7 @@ class TestConfig:
             run_experiment(tiny_config(criteria=()))
 
     def test_training_value_edges_accepted(self):
-        tiny_config(lr=0.0, momentum=0.0, decay_at=(0.0, 1.0)).validate()
+        tiny_config(lr=0.0).validate()
 
     def test_round_trip_dict(self):
         cfg = tiny_config(prune_rate=0.25)
@@ -185,7 +180,7 @@ class TestConfig:
             ExperimentConfig.from_dict({"epochz": 3, "seed": 1})
 
     def test_lr_schedule_step_decay(self):
-        cfg = tiny_config(epochs=20, lr=1.0, decay_factor=0.1)
+        cfg = tiny_config(epochs=20, lr=1.0)
         at = cfg.lr_schedule()
         assert at(1) == 1.0
         assert at(11) == pytest.approx(0.1)
@@ -393,13 +388,13 @@ class TestEmitReport:
         assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_non_default_config_round_trips(self, tmp_path):
-        cfg = tiny_config(prune_rate=0.25, criteria=("l1", "cosine"), decay_at=(0.25, 0.5))
+        cfg = tiny_config(prune_rate=0.25, criteria=("l1", "cosine"))
         run_experiment(cfg, out_dir=tmp_path)
         report = json.loads((tmp_path / "report.json").read_text())
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert set(report["config"]) == {
             "arch", "n_train", "n_eval", "image_size", "epochs", "prune_rate", "criteria",
-            "meta_attribute", "decay_at", "batch_size",
+            "meta_attribute", "batch_size",
         }
         assert set(manifest["config"]) == set(cfg.to_dict())
         assert ExperimentConfig.from_dict(report["config"]) == cfg

@@ -174,20 +174,6 @@ class TestCompact:
             assert keep & pruned == set()
 
 
-class TestFlattenFilters:
-    def test_single_value(self):
-        assert mdl.flatten_filters(np.full((1, 1, 1, 1), 5.0)).tolist() == [[5.0]]
-
-    def test_row_length(self):
-        w = np.zeros((4, 3, 3, 3))
-        assert mdl.flatten_filters(w).shape == (4, 27)
-
-    def test_round_trip_bit_exact(self):
-        rng = np.random.default_rng(8)
-        w = rng.normal(size=(5, 2, 3, 3))
-        assert np.array_equal(mdl.flatten_filters(w).reshape(w.shape), w)
-
-
 class TestEvaluate:
     def test_empty_set_rejected(self, small_model):
         with pytest.raises(ValueError, match="empty"):
